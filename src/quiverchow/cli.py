@@ -93,8 +93,21 @@ def _dumps(doc: dict) -> str:
 # flag plumbing
 
 
+def _int_at_least(low: int):
+    """argparse type: an integer >= low."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return parse
+
+
 def _shared_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--trunc", type=int, default=DEFAULT_TRUNC,
+    p.add_argument("--trunc", type=_int_at_least(0), default=DEFAULT_TRUNC,
                    help="series truncation exponent in u (default 24)")
     p.add_argument("--format", choices=("json", "table"), default="json")
     p.add_argument("--threads", type=int, default=1,
@@ -145,7 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("klr-selftest", help="relation suite on one algebra")
     _quiver_flags(p)
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--trials", type=_int_at_least(1), default=100)
     _shared_flags(p)
 
     p = sub.add_parser("complex", help="operate on a JSON chain complex")
@@ -159,10 +172,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("suite", help="run a named acceptance battery")
     p.add_argument("name", choices=("paving-oracle", "klr-match", "relations", "homotopy"))
-    p.add_argument("--max-total", type=int, default=4,
+    p.add_argument("--max-total", type=_int_at_least(0), default=4,
                    help="dimension bound for paving-oracle/relations")
-    p.add_argument("--trials", type=int, default=100, help="relation trials per family")
-    p.add_argument("--count", type=int, default=200, help="homotopy corpus size per handle")
+    p.add_argument("--trials", type=_int_at_least(1), default=100,
+                   help="relation trials per family")
+    p.add_argument("--count", type=_int_at_least(1), default=200,
+                   help="homotopy corpus size per handle")
     _shared_flags(p)
 
     return parser

@@ -164,7 +164,10 @@ def compare_block(
     N: int = DEFAULT_TRUNC,
 ) -> GdimReport:
     """Compare the two series for a complete block, coefficientwise to u^N,
-    after the normalization shift u^{d_j - d_i}."""
+    after the normalization shift u^{d_j - d_i}.  The KLR formula does not
+    cover a loop vertex, so a quiver with a loop is refused."""
+    if any(Q.arrow_count(v, v) for v in Q.vertices):
+        raise ValueError(f"{Q} has a loop, which the KLR block formula does not cover")
     i = tuple(i)
     j = tuple(j)
     ci = Composition.from_word(i, Q.n)

@@ -5,10 +5,12 @@ e_iA\\langle s\\rangle$ over a locally unital graded algebra $A$, accessed
 purely through an `AlgebraHandle`: element arithmetic, a zero test,
 homogeneity checking, and a degree-zero invertibility test.  Three handles
 ship: the nil Hecke and quiver Hecke algebras (elements act on labeled
-polynomials, equality is decided on a spanning family of monomial inputs up
-to a recorded degree bound) and the smash product of a polynomial ring with
-a symmetric group (exact arithmetic, invertibility by a linear solve on the
-group algebra's regular representation).
+polynomials; equality is decided exactly on the n! Artin monomials under
+each idempotent, a basis of the polynomial representation over the central
+symmetric polynomials) and the smash product of a polynomial ring with a
+symmetric group (exact arithmetic, invertibility by a linear solve on the
+group algebra's regular representation).  Every shipped handle decides
+equality exactly, so each records `equality_bound` None.
 
 The operations are the desk-scale shadow of the weight-structure toolkit:
 cohomological shift and internal twist, mapping cones, stupid (weight)
@@ -136,26 +138,30 @@ class AlgebraHandle:
 class KLRHandle(AlgebraHandle):
     """Quiver Hecke algebra of (Q, d) through its polynomial action.
 
-    Equality of elements is decided by acting on every labeled monomial of
-    polynomial degree <= equality_bound; the bound makes this a recorded
-    semi-decision, never silently exceeded.
+    The action on labeled polynomials is faithful (Khovanov-Lauda), and the
+    diagonal symmetric polynomials sum_i f e(i) are central, so every element
+    commutes with multiplication by them.  k[x_1..x_n] is free over the
+    symmetric polynomials on the Artin monomials x^a with a_k <= k - 1, so
+    an element is zero exactly when it kills x^a e(i) for every Artin
+    exponent a and idempotent i: n! inputs per idempotent, and equality,
+    homogeneity and degree-zero inversion are exact decisions.
     """
 
-    def __init__(self, Q: Quiver, d: DimVector, degree_bound: int = 6, name: str | None = None):
+    def __init__(self, Q: Quiver, d: DimVector, name: str | None = None):
         if d.total < 1:
             raise ValueError("handle needs a positive total dimension")
         self.Q = Q
         self.d = d
         self.n = d.total
         self.units_per_shift = 2
-        self.equality_bound = degree_bound
+        self.equality_bound = None
         self.idempotents = tuple(content_words(Q, d))
         self.name = name or f"klr:{Q}:{','.join(str(e) for e in d)}"
+        artin = list(itertools.product(*(range(k + 1) for k in range(self.n))))
         self._inputs = [
             (w, exps, LabeledPoly.from_poly(w, Poly.monomial(self.n, exps)))
             for w in self.idempotents
-            for deg in range(degree_bound + 1)
-            for exps in monomials_of_degree(self.n, deg)
+            for exps in artin
         ]
         self._basis_cache: dict = {}
 
@@ -275,14 +281,13 @@ class KLRHandle(AlgebraHandle):
 
     def gen_element(self, kind: str, arg):
         if kind == "e":
-            word = tuple(arg)
-            if word not in self.idempotents:
-                raise ValueError(f"unknown idempotent word {word}")
-            return KLROperator.e(self.Q, self.n, word)
+            if arg is None:
+                raise ValueError("this handle needs an idempotent word, e.g. e(0,0)")
+            return KLROperator.e(self.Q, self.n, self.parse_idem(arg))
         if kind == "x":
-            return KLROperator.x(self.Q, self.n, arg)
+            return KLROperator.x(self.Q, self.n, _checked_index(kind, arg, self.n))
         if kind == "psi":
-            return KLROperator.psi(self.Q, self.n, arg)
+            return KLROperator.psi(self.Q, self.n, _checked_index(kind, arg, self.n))
         if kind == "num":
             return KLROperator.one(self.Q, self.n).scale(arg)
         raise ValueError(f"symbol {kind!r} has no meaning for this handle")
@@ -291,7 +296,7 @@ class KLRHandle(AlgebraHandle):
         return list(idem)
 
     def parse_idem(self, obj):
-        word = tuple(obj)
+        word = tuple(obj) if isinstance(obj, (list, tuple)) else obj
         if word not in self.idempotents:
             raise ValueError(f"unknown idempotent word {word}")
         return word
@@ -385,9 +390,9 @@ class SmashHandle(AlgebraHandle):
                 raise ValueError("this handle has a single unnamed idempotent")
             return SmashElement.unit(self.n)
         if kind == "x":
-            return SmashElement.x(self.n, arg)
+            return SmashElement.x(self.n, _checked_index(kind, arg, self.n))
         if kind == "s":
-            return SmashElement.s(self.n, arg)
+            return SmashElement.s(self.n, _checked_index(kind, arg, self.n))
         if kind == "num":
             return SmashElement.scalar(self.n, arg)
         raise ValueError(f"symbol {kind!r} has no meaning for this handle")
@@ -401,20 +406,25 @@ class SmashHandle(AlgebraHandle):
         return "e"
 
 
-def parse_handle(spec: str, degree_bound: int = 6) -> AlgebraHandle:
+def _checked_index(kind: str, k: int, n: int) -> int:
+    """k itself when x_k (1..n) or the crossing psi_k / s_k (1..n-1)
+    exists on n strands."""
+    top = n if kind == "x" else n - 1
+    if not 1 <= k <= top:
+        raise ValueError(f"{kind}{k} does not exist on {n} strands (index 1..{top})")
+    return k
+
+
+def parse_handle(spec: str) -> AlgebraHandle:
     """Parse "nilhecke:<n>", "klr:<quiver>:<dims>", or "smash:<n>"."""
     spec = spec.strip()
     if spec.startswith("nilhecke:"):
         n = int(spec.split(":", 1)[1])
-        return KLRHandle(
-            parse_quiver("A1"), DimVector((n,)), degree_bound, name=spec
-        )
+        return KLRHandle(parse_quiver("A1"), DimVector((n,)), name=spec)
     if spec.startswith("klr:"):
         rest = spec.split(":", 1)[1]
         qspec, dims = rest.rsplit(":", 1)
-        return KLRHandle(
-            parse_quiver(qspec), parse_dimvector(dims), degree_bound, name=spec
-        )
+        return KLRHandle(parse_quiver(qspec), parse_dimvector(dims), name=spec)
     if spec.startswith("smash:"):
         return SmashHandle(int(spec.split(":", 1)[1]), name=spec)
     raise ValueError(f"unknown handle spec {spec!r}")
@@ -525,6 +535,8 @@ class _ExprParser:
                 k3, v3 = self.take()
                 if k3 != "num":
                     raise ValueError("bad rational")
+                if v3 == 0:
+                    raise ValueError(f"zero denominator in {val}/0")
                 return self.handle.gen_element("num", Fraction(val, v3))
             return self.handle.gen_element("num", val)
         if kind == "name":
@@ -928,18 +940,43 @@ def complex_to_json(c: GradedComplex) -> dict:
     }
 
 
+def _triples(doc: dict, key: str, default=None) -> list:
+    rows = doc.get(key, default)
+    if not isinstance(rows, list) or not all(
+        isinstance(r, list) and len(r) == 3 for r in rows
+    ):
+        raise ValueError(f'"{key}" must be a list of 3-element lists')
+    return rows
+
+
+def _integer(value, what: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def complex_from_json(doc: dict, handle: AlgebraHandle | None = None) -> GradedComplex:
+    """Read a complex/1 document; malformed input raises ValueError."""
+    if not isinstance(doc, dict):
+        raise ValueError("a complex document must be a JSON object")
     if doc.get("schema") not in (None, "complex/1"):
         raise ValueError(f"unknown schema {doc.get('schema')!r}")
     if handle is None:
+        if not isinstance(doc.get("handle"), str):
+            raise ValueError('the document names no "handle" and none was given')
         handle = parse_handle(doc["handle"])
     gens = [
-        Generator(handle.parse_idem(idem), int(s), int(cd))
-        for idem, s, cd in doc["generators"]
+        Generator(handle.parse_idem(idem), _integer(s, "shift"), _integer(cd, "cohdeg"))
+        for idem, s, cd in _triples(doc, "generators")
     ]
     diff = {}
-    for row, col, expr in doc.get("differential", []):
-        diff[(int(row), int(col))] = parse_element(handle, expr)
+    for row, col, expr in _triples(doc, "differential", []):
+        key = (_integer(row, "row"), _integer(col, "column"))
+        if not all(0 <= k < len(gens) for k in key):
+            raise ValueError(f"entry {key} lies outside the {len(gens)} generators")
+        if not isinstance(expr, str):
+            raise ValueError(f"entry {key} must be an expression string")
+        diff[key] = parse_element(handle, expr)
     return GradedComplex(handle, gens, diff)
 
 

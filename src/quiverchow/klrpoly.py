@@ -566,6 +566,10 @@ def relation_suite(Q: Quiver, d: DimVector, trials: int = 100, seed: int = 0) ->
     seeded random inputs; also checks degree homogeneity of every
     generator.  Zero failures is the correctness gate for the crossing
     conventions."""
+    if len(d) != Q.n:
+        raise ValueError("dimension vector does not match the quiver")
+    if d.total < 1:
+        raise ValueError("the relation suite needs a dimension vector with positive total")
     n = d.total
     words = content_words(Q, d)
     E = lambda w: KLROperator.e(Q, n, w)

@@ -125,6 +125,61 @@ def test_complex_validate_flags_bad_input_with_exit_2(capsys, tmp_path):
     assert doc["ok"] is False and doc["problems"]
 
 
+_TWO_GENS = [[[0, 0], 0, 0], [[0, 0], 0, 1]]
+
+
+@pytest.mark.parametrize("doc, op", [
+    ({"generators": _TWO_GENS}, "validate"),
+    ([1, 2], "validate"),
+    ({"handle": "nilhecke:2", "generators": _TWO_GENS,
+      "differential": [[1, 0, "psi7"]]}, "validate"),
+    ({"handle": "nilhecke:2", "generators": _TWO_GENS,
+      "differential": [[1, 0, "1/0"]]}, "validate"),
+    ({"handle": "nilhecke:2", "generators": _TWO_GENS,
+      "differential": [[5, 0, "e(0,0)"]]}, "minimize"),
+], ids=["missing-handle", "json-list", "crossing-out-of-range",
+        "zero-denominator", "entry-out-of-range"])
+def test_complex_bad_input_ends_in_one_error_line(capsys, tmp_path, doc, op):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(doc))
+    code = main(["complex", "--input", str(path), "--op", op])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["suite", "relations", "--trials", "-3"],
+    ["klr-selftest", "--quiver", "A2", "--dim", "1,1", "--trials", "0"],
+    ["suite", "homotopy", "--count", "0"],
+    ["gdim", "--quiver", "A1", "--dim", "2", "--mode", "geo",
+     "--word-i", "0,0", "--word-j", "0,0", "--trunc", "-4"],
+    ["suite", "paving-oracle", "--max-total", "-1"],
+], ids=["trials", "selftest-trials", "count", "trunc", "max-total"])
+def test_out_of_range_flags_are_usage_errors(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "error: argument --" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["klr-selftest", "--quiver", "A2", "--dim", "0,0"],
+    ["gdim", "--quiver", "cyclic:1", "--dim", "2", "--mode", "compare",
+     "--word-i", "0,0", "--word-j", "0,0"],
+], ids=["selftest-empty-dim", "compare-loop"])
+def test_out_of_domain_inputs_are_refused(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+
+
 def test_complex_truncate_emits_triangle(capsys, tmp_path):
     doc = {
         "schema": "complex/1",

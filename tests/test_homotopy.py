@@ -17,6 +17,7 @@ randomized reassembly check exercises.
 
 from __future__ import annotations
 
+import itertools
 import json
 import random
 
@@ -42,6 +43,7 @@ from quiverchow.homotopy import (
     validate_chain_map,
     weight_truncate,
 )
+from quiverchow.klrpoly import LabeledPoly, Poly, monomials_of_degree, word_offset
 
 
 HANDLE_SPECS = ("nilhecke:2", "klr:A2:1,1", "klr:cyclic:2:1,1", "smash:2")
@@ -272,3 +274,89 @@ def test_random_complexes_are_valid():
         for t in range(20):
             c = random_complex(h, random.Random(f"valid:{spec}:{t}"))
             assert validate(c).ok, spec
+
+
+def test_nilhecke5_longest_element_is_nonzero():
+    # psi_{w0} has polynomial degree 10 on its nonzero inputs; a zero test
+    # on monomials of degree <= 6 alone calls it zero
+    h = parse_handle("nilhecke:5")
+    w0 = parse_element(h, "psi1*psi2*psi1*psi3*psi2*psi1*psi4*psi3*psi2*psi1")
+    assert not h.is_zero(w0)
+    assert h.is_zero(h.mul(w0, w0))
+    assert h.equality_bound is None
+
+
+def _reference_inputs(h):
+    """Every labeled monomial of degree <= max(6, n(n-1)/2)."""
+    bound = max(6, h.n * (h.n - 1) // 2)
+    return [
+        (w, exps, LabeledPoly.from_poly(w, Poly.monomial(h.n, exps)))
+        for w in h.idempotents
+        for deg in range(bound + 1)
+        for exps in monomials_of_degree(h.n, deg)
+    ]
+
+
+def _reference_outputs(inputs, a):
+    return [(w, exps, a.apply(f)) for w, exps, f in inputs]
+
+
+def _reference_is_zero(outputs):
+    return all(out.is_zero() for _, _, out in outputs)
+
+
+def _reference_block_homogeneous(h, outputs, frm, to, degree):
+    for w, exps, out in outputs:
+        if w != frm:
+            if not out.is_zero():
+                return False
+        elif set(out.components) - {to}:
+            return False
+        elif out.offset_degrees(h.Q) - {2 * sum(exps) + word_offset(h.Q, w) + degree}:
+            return False
+    return True
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ["nilhecke:2", "nilhecke:3", "klr:A2:1,1", "klr:A2:2,1", "klr:cyclic:2:1,1"],
+)
+def test_exact_decisions_agree_with_larger_input_set(spec):
+    h = parse_handle(spec)
+    inputs = _reference_inputs(h)
+    rng = random.Random(f"cross:{spec}")
+    pool = []  # (frm, to, degree, element)
+    for frm, to in itertools.product(h.idempotents, repeat=2):
+        for degree in range(-2, 3):
+            el = h.random_block_element(rng, frm, to, degree)
+            if el is not None:
+                pool.append((frm, to, degree, el))
+    corpus = list(pool)
+    for _ in range(12):
+        (f1, t1, d1, a), (f2, t2, d2, b) = rng.choice(pool), rng.choice(pool)
+        if t1 == f2:
+            corpus.append((f1, t2, d1 + d2, b * a))
+        corpus.append((f1, t1, d1, a - b))
+    zero_seen, homog_seen, inverses = set(), set(), 0
+    for frm, to, degree, el in corpus:
+        outputs = _reference_outputs(inputs, el)
+        zero = h.is_zero(el)
+        assert zero == _reference_is_zero(outputs), (spec, str(el))
+        zero_seen.add(zero)
+        for d in (degree, degree + 2):
+            homog = h.is_block_homogeneous(el, frm, to, d)
+            assert homog == _reference_block_homogeneous(h, outputs, frm, to, d), (
+                spec, str(el), d)
+            homog_seen.add(homog)
+    # the identity plus a degree-0 element is often invertible
+    for frm, to, degree, el in pool:
+        if degree != 0:
+            continue
+        for a in (el, el + h.unit(frm)) if frm == to else (el,):
+            inv = h.invert_degree_zero(a, frm, to)
+            if inv is not None:
+                inverses += 1
+                for side, unit in ((inv * a, h.unit(frm)), (a * inv, h.unit(to))):
+                    assert _reference_is_zero(_reference_outputs(inputs, side - unit)), spec
+    assert zero_seen == {True, False} and homog_seen == {True, False}, spec
+    assert inverses, spec
