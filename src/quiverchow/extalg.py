@@ -74,9 +74,10 @@ def gdim_geo(
 ) -> HalfLaurentSeries:
     """Stratified Chow series of the block (i, j), truncated at u^N.
 
-    Every stratum M contributes
-    sum over cell pairs of u^{2(d_j - orbit_dim(M) - c1 - c2)} times the
-    automorphism-group series of M; the exponent grid is even.
+    Every stratum M contributes u^{2(d_j - orbit_dim(M))} times the product
+    of the two cell count polynomials, sum of m u^{-2c} over the (c, m)
+    counts of each paving, times the automorphism-group series of M; the
+    exponent grid is even.
     """
     _check_comp(d, i, Q.n)
     _check_comp(d, j, Q.n)
@@ -89,10 +90,10 @@ def gdim_geo(
             continue
         shift = orbit_dim(Q, M)
         coeffs: dict[int, int] = {}
-        for c1 in cells_i.dims:
-            for c2 in cells_j.dims:
+        for c1, m1 in cells_i.counts:
+            for c2, m2 in cells_j.counts:
                 e = 2 * (dj - shift - c1 - c2)
-                coeffs[e] = coeffs.get(e, 0) + 1
+                coeffs[e] = coeffs.get(e, 0) + m1 * m2
         cell_poly = HalfLaurentSeries.from_map(coeffs)
         m0 = min(coeffs)
         aut = HalfLaurentSeries.one()
@@ -105,13 +106,12 @@ def gdim_geo(
 
 
 def _word_permutations(i: tuple[int, ...], j: tuple[int, ...]):
-    """All w with j[w(k)] = i[k]; grouped positions keep duplicates exact."""
+    """All w with j[w(k)] = i[k] for words of equal content; grouped
+    positions keep duplicates exact."""
     n = len(i)
     slots: dict[int, list[int]] = {}
     for pos, letter in enumerate(j):
         slots.setdefault(letter, []).append(pos)
-    if sorted(i) != sorted(j):
-        return
     letters = sorted(slots)
     choices = [itertools.permutations(slots[a]) for a in letters]
     positions = {a: [k for k, b in enumerate(i) if b == a] for a in letters}
@@ -136,10 +136,11 @@ def gdim_alg_klr(
     i = tuple(i)
     j = tuple(j)
     n = d.total
-    if len(i) != n or len(j) != n:
-        raise ValueError("words must have length total(d)")
-    if sorted(i) != sorted(j):
-        raise ValueError("words of different content")
+    if len(d) != Q.n:
+        raise ValueError("dimension vector does not match the quiver")
+    content = [v for v in Q.vertices for _ in range(d[v])]
+    if sorted(i) != content or sorted(j) != content:
+        raise ValueError(f"words {i} and {j} must both have content {tuple(d)}")
     coeffs: dict[int, int] = {}
     for w in _word_permutations(i, j):
         deg = 0
@@ -148,8 +149,6 @@ def gdim_alg_klr(
                 if w[k] > w[l]:
                     deg += -cartan(Q, i[k], i[l])
         coeffs[deg] = coeffs.get(deg, 0) + 1
-    if not coeffs:
-        return HalfLaurentSeries.zero().truncate(N)
     m0 = min(coeffs)
     perm_poly = HalfLaurentSeries.from_map(coeffs)
     poly_part = bgl(1, N - m0).pow(n) if n else HalfLaurentSeries.one().truncate(N - m0)

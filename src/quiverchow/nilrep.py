@@ -14,6 +14,7 @@ against a brute-force intertwiner solve) and for orbit dimensions.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 from dataclasses import dataclass
@@ -114,10 +115,13 @@ def all_segments(Q: Quiver, max_length: int) -> list[Segment]:
     return out
 
 
-def enumerate_nilreps(Q: Quiver, d: DimVector) -> list[Multisegment]:
+@functools.lru_cache(maxsize=None)
+def enumerate_nilreps(Q: Quiver, d: DimVector) -> tuple[Multisegment, ...]:
     """All multisegments with dimension vector d, canonically ordered.
 
     Segment lengths never exceed total(d), so the search space is finite.
+    Computed once per (Q, d); the result is an immutable tuple shared by
+    every caller.
     """
     if len(d) != Q.n:
         raise ValueError("dimension vector does not match the quiver")
@@ -149,7 +153,7 @@ def enumerate_nilreps(Q: Quiver, d: DimVector) -> list[Multisegment]:
                 rec(idx + 1, new_rem, chosen + [s] * copies)
 
     rec(0, list(d), [])
-    return sorted(results, key=lambda m: m.segments)
+    return tuple(sorted(results, key=lambda m: m.segments))
 
 
 def socle_basis(Q: Quiver, M: Multisegment) -> list[list[Segment]]:

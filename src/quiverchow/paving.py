@@ -27,19 +27,23 @@ from .quiver import Composition, DimVector, Quiver
 
 @dataclass(frozen=True)
 class CellSet:
-    """Multiset of affine cell dimensions; empty means the empty variety."""
+    """Multiset of affine cell dimensions, stored as counts: (dim,
+    multiplicity) pairs with ascending dim and positive multiplicity.  No
+    counts means the empty variety."""
 
-    dims: tuple[int, ...]
+    counts: tuple[tuple[int, int], ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "dims", tuple(sorted(self.dims)))
+    @property
+    def dims(self) -> tuple[int, ...]:
+        """Every cell dimension once per cell, ascending."""
+        return tuple(d for d, m in self.counts for _ in range(m))
 
     @property
     def cell_count(self) -> int:
-        return len(self.dims)
+        return sum(m for _, m in self.counts)
 
     def is_empty_variety(self) -> bool:
-        return not self.dims
+        return not self.counts
 
     def __iter__(self):
         return iter(self.dims)
@@ -53,10 +57,7 @@ class PoincarePolynomial:
 
     @staticmethod
     def from_cells(cells: CellSet) -> "PoincarePolynomial":
-        counts: dict[int, int] = {}
-        for d in cells.dims:
-            counts[d] = counts.get(d, 0) + 1
-        return PoincarePolynomial(tuple(sorted(counts.items())))
+        return PoincarePolynomial(cells.counts)
 
     def evaluate(self, q: int) -> int:
         return sum(c * q**e for e, c in self.coefficients)
@@ -81,7 +82,9 @@ class PoincarePolynomial:
         return " + ".join(chunks)
 
 
-_paving_cache: dict[tuple[Quiver, Multisegment, tuple[DimVector, ...]], tuple[int, ...]] = {}
+_paving_cache: dict[
+    tuple[Quiver, Multisegment, tuple[DimVector, ...]], tuple[tuple[int, int], ...]
+] = {}
 
 
 def _subset_choices(basis_sizes: list[int], step: DimVector):
@@ -104,25 +107,27 @@ def _schubert_dim(choice) -> int:
     return total
 
 
-def _cells(Q: Quiver, M: Multisegment, parts: tuple[DimVector, ...]) -> tuple[int, ...]:
+def _cells(
+    Q: Quiver, M: Multisegment, parts: tuple[DimVector, ...]
+) -> tuple[tuple[int, int], ...]:
     key = (Q, M, parts)
     hit = _paving_cache.get(key)
     if hit is not None:
         return hit
     if not parts:
-        out = (0,) if M.is_empty() else ()
+        out = ((0, 1),) if M.is_empty() else ()
         # the precondition at the public entry point guarantees M is empty
         # here; the empty tuple branch is unreachable from paving_cells
         _paving_cache[key] = out
         return out
     basis = socle_basis(Q, M)
-    dims: list[int] = []
+    counts: dict[int, int] = {}
     for choice in _subset_choices([len(b) for b in basis], parts[0]):
         d0 = _schubert_dim(choice)
         quotient = quotient_by_socles(Q, M, [list(c) for c in choice])
-        for rest in _cells(Q, quotient, parts[1:]):
-            dims.append(d0 + rest)
-    out = tuple(sorted(dims))
+        for rest, m in _cells(Q, quotient, parts[1:]):
+            counts[d0 + rest] = counts.get(d0 + rest, 0) + m
+    out = tuple(sorted(counts.items()))
     _paving_cache[key] = out
     return out
 
@@ -136,8 +141,8 @@ def _check_target(Q: Quiver, M: Multisegment, comp: Composition) -> None:
 
 
 def paving_cells(Q: Quiver, M: Multisegment, comp: Composition) -> CellSet:
-    """Affine cell dimensions of the variety of strictly lowering flags of
-    type comp in M.  Raises on a dimension mismatch."""
+    """Affine cells, counted by dimension, of the variety of strictly
+    lowering flags of type comp in M.  Raises on a dimension mismatch."""
     _check_target(Q, M, comp)
     return CellSet(_cells(Q, M, comp.parts))
 

@@ -12,6 +12,7 @@ operands' orders shifted by the other factor's lowest exponent.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -57,12 +58,6 @@ class HalfLaurentSeries:
     @staticmethod
     def from_map(coeffs: dict, trunc=INF) -> "HalfLaurentSeries":
         return HalfLaurentSeries(tuple(coeffs.items()), trunc)
-
-    @staticmethod
-    def from_q_coeffs(coeffs: dict, trunc=INF) -> "HalfLaurentSeries":
-        """Reads a polynomial in q and doubles exponents (q = u^2)."""
-        t = trunc if trunc == INF else 2 * trunc
-        return HalfLaurentSeries(tuple((2 * e, c) for e, c in coeffs.items()), t)
 
     # -- structure ---------------------------------------------------------
 
@@ -154,15 +149,6 @@ class HalfLaurentSeries:
     def truncate(self, trunc) -> "HalfLaurentSeries":
         return HalfLaurentSeries(self.coeffs, min(self.trunc, trunc))
 
-    def substitute_q_squared(self) -> "HalfLaurentSeries":
-        """q -> u^2 on a series read as living in q: doubles exponents."""
-        t = self.trunc if self.trunc == INF else 2 * self.trunc
-        return HalfLaurentSeries(tuple((2 * e, c) for e, c in self.coeffs), t)
-
-    def evaluate(self, x: float) -> float:
-        """Numerical evaluation of the stored window (smoke checks only)."""
-        return float(sum(c * x**e for e, c in self.coeffs))
-
     # -- comparison and rendering ------------------------------------------
 
     def agrees_with(self, other: "HalfLaurentSeries") -> bool:
@@ -198,10 +184,12 @@ def first_discrepancy(a: HalfLaurentSeries, b: HalfLaurentSeries) -> int | None:
     return None
 
 
+@functools.lru_cache(maxsize=None)
 def bgl(m: int, trunc=DEFAULT_TRUNC) -> HalfLaurentSeries:
     """Poincare series of the Chow ring of the classifying space of GL_m in
     q = u^2: the product over k <= m of (1 - u^{2k})^{-1}.  Coefficient of
-    u^{2k} counts partitions of k into parts of size at most m."""
+    u^{2k} counts partitions of k into parts of size at most m.  Computed
+    once per argument pair; the series is immutable, so callers share it."""
     out = HalfLaurentSeries.one()
     for k in range(1, m + 1):
         factor = HalfLaurentSeries.one().sub(HalfLaurentSeries.monomial(2 * k))

@@ -199,6 +199,15 @@ def test_complex_truncate_emits_triangle(capsys, tmp_path):
     assert tri["inclusion"]
 
 
+def test_gdim_alg_rejects_words_of_wrong_content(capsys):
+    code = main(["gdim", "--quiver", "A2", "--dim", "1,1", "--mode", "alg",
+                 "--word-i", "0,0", "--word-j", "0,0", "--trunc", "4"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+
+
 def test_suite_relations_small_run(capsys):
     code, out = run_cli(capsys, "suite", "relations", "--trials", "3",
                         "--max-total", "2", "--seed", "1")

@@ -87,7 +87,7 @@ def test_compare_block_matches_with_dimension_shift():
 
 
 def test_nil_hecke_closed_form_small_rank():
-    for n in (1, 2, 3):
+    for n in range(1, 8):
         d = DimVector((n,))
         comp = enumerate_complete_comps(A1, d)[0]
         geo = gdim_geo(A1, d, comp, comp, 16)
@@ -160,8 +160,9 @@ def test_block_key_requires_matching_targets():
 
 
 def test_gdim_alg_rejects_mismatched_content():
-    with pytest.raises(ValueError):
-        gdim_alg_klr(A2, D11, (0, 1), (0, 0), 8)
+    for i, j in (((0, 1), (0, 0)), ((0, 0), (0, 0))):
+        with pytest.raises(ValueError):
+            gdim_alg_klr(A2, D11, i, j, 8)
 
 
 def test_report_is_frozen_record():

@@ -13,6 +13,7 @@ the load-bearing check here.
 from __future__ import annotations
 
 import random
+from math import factorial
 
 import pytest
 
@@ -45,6 +46,23 @@ def test_zero_representation_gives_classical_flags():
     G = poincare(LOOP, semisimple_class(LOOP, DimVector((3,))),
                  parse_composition("1;2", 1))
     assert G.as_dict() == {0: 1, 1: 1, 2: 1}  # Gr(1,3) = P^2
+    # complete flags in k^n: cells counted by inversions, the Mahonian
+    # numbers, i.e. the coefficients of [n]_q! = prod_k (1 + q + ... + q^{k-1})
+    mahonian = [1]
+    for n in range(1, 8):
+        grown = [0] * (len(mahonian) + n - 1)
+        for e, c in enumerate(mahonian):
+            for k in range(n):
+                grown[e + k] += c
+        mahonian = grown
+        if n < 4:
+            continue
+        cells = paving_cells(LOOP, semisimple_class(LOOP, DimVector((n,))),
+                             parse_composition(";".join(["1"] * n), 1))
+        assert cells.counts == tuple(enumerate(mahonian)), n
+        assert cells.cell_count == factorial(n)
+        assert len(cells.dims) == factorial(n)
+        assert list(cells.dims) == sorted(cells.dims)
 
 
 def test_subregular_fiber_poincare_and_counts():
