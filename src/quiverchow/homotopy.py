@@ -45,6 +45,8 @@ from .linalg import solve_exact
 from .quiver import DimVector, Quiver, cartan, parse_dimvector, parse_quiver
 
 MAX_EQUALITY_PERMUTATIONS = 720
+# largest exponent accepted in an expression; checked before multiplying
+MAX_EXPONENT = 64
 
 
 # ---------------------------------------------------------------------------
@@ -126,14 +128,6 @@ class AlgebraHandle:
             coeff = rng.choice([-2, -1, 1, 2, 3])
             out = self.add(out, self.scale(rng.choice(basis), coeff))
         return out
-
-    def describe(self) -> dict:
-        return {
-            "name": self.name,
-            "units_per_shift": self.units_per_shift,
-            "equality_bound": self.equality_bound,
-        }
-
 
 class KLRHandle(AlgebraHandle):
     """Quiver Hecke algebra of (Q, d) through its polynomial action.
@@ -520,6 +514,8 @@ class _ExprParser:
             k2, v2 = self.take()
             if k2 != "num":
                 raise ValueError("exponent must be a number")
+            if v2 > MAX_EXPONENT:
+                raise ValueError(f"exponent {v2} exceeds the bound {MAX_EXPONENT}")
             out = self.handle.gen_element("num", 1)
             for _ in range(v2):
                 out = self.handle.mul(out, value)
@@ -590,21 +586,6 @@ class Generator:
     idem: object
     shift: int
     cohdeg: int
-
-
-class FreeObject:
-    """Ordered finite list of generators."""
-
-    __slots__ = ("generators",)
-
-    def __init__(self, generators):
-        self.generators = tuple(generators)
-
-    def in_degree(self, c: int) -> list[int]:
-        return [k for k, g in enumerate(self.generators) if g.cohdeg == c]
-
-    def __len__(self) -> int:
-        return len(self.generators)
 
 
 class GradedComplex:
@@ -855,7 +836,11 @@ def euler_symbol(c: GradedComplex) -> dict:
 
 def complexes_equal(a: GradedComplex, b: GradedComplex) -> bool:
     """Entrywise equality after canonical generator ordering, allowing any
-    matching of generators with identical (cohdeg, idempotent, twist)."""
+    matching of generators with identical (cohdeg, idempotent, twist).
+
+    Past MAX_EQUALITY_PERMUTATIONS matchings only the identity matching is
+    tried: a match there returns True, anything else raises ValueError,
+    because equality is then undecided."""
     if a.handle.name != b.handle.name:
         return False
     h = a.handle
@@ -910,7 +895,12 @@ def complexes_equal(a: GradedComplex, b: GradedComplex) -> bool:
         for m in range(2, len(g) + 1):
             size *= m
     if size > MAX_EQUALITY_PERMUTATIONS:
-        return entries_match(list(range(len(gb))))
+        if entries_match(list(range(len(gb)))):
+            return True
+        raise ValueError(
+            f"complex equality undecided: {size} generator matchings exceed "
+            f"the bound {MAX_EQUALITY_PERMUTATIONS}"
+        )
     for combo in itertools.product(*[itertools.permutations(g) for g in groups]):
         perm = [0] * len(gb)
         for group, images in zip(groups, combo):

@@ -320,21 +320,6 @@ def atom_degree(Q: Quiver, atom: tuple, word: tuple[int, ...]) -> int:
     return -cartan(Q, word[r - 1], word[r])
 
 
-def atom_target(atom: tuple, word: tuple[int, ...]) -> tuple[int, ...] | None:
-    """Word after applying the atom, or None when an idempotent kills it."""
-    kind = atom[0]
-    if kind == "e":
-        return word if atom[1] == word else None
-    if kind == "x":
-        return word
-    r = atom[1]
-    if word[r - 1] == word[r]:
-        return word
-    sw = list(word)
-    sw[r - 1], sw[r] = sw[r], sw[r - 1]
-    return tuple(sw)
-
-
 @dataclass(frozen=True)
 class KLROperator:
     """Formal sum of generator compositions, evaluated by action.
@@ -423,43 +408,6 @@ class KLROperator:
                 cur = _apply_atom(self.Q, atom, cur)
             total = total.add(cur.scale(c))
         return total
-
-    # block structure (used by complexes)
-
-    def term_block(
-        self, atoms: tuple, source: tuple[int, ...]
-    ) -> tuple[tuple[int, ...], int] | None:
-        """Target word and degree of one atom string on a source word, or
-        None when an idempotent mismatch kills the term."""
-        cur = source
-        deg = 0
-        for atom in reversed(atoms):
-            nxt = atom_target(atom, cur)
-            if nxt is None:
-                return None
-            deg += atom_degree(self.Q, atom, cur)
-            cur = nxt
-        return cur, deg
-
-    def blocks(
-        self, words: list[tuple[int, ...]]
-    ) -> dict[tuple[tuple[int, ...], tuple[int, ...], int], "KLROperator"]:
-        """Split into components supported on (source word, target word,
-        degree); purely structural, zero components are not pruned."""
-        out: dict = {}
-        for c, atoms in self.terms:
-            for src in words:
-                tb = self.term_block(atoms, src)
-                if tb is None:
-                    continue
-                tgt, deg = tb
-                key = (src, tgt, deg)
-                extra = (c, (("e", tgt),) + atoms + (("e", src),))
-                if key in out:
-                    out[key] = out[key] + KLROperator(self.Q, self.n, (extra,))
-                else:
-                    out[key] = KLROperator(self.Q, self.n, (extra,))
-        return out
 
     def __str__(self) -> str:
         if not self.terms:
@@ -739,12 +687,6 @@ def relation_suite(Q: Quiver, d: DimVector, trials: int = 100, seed: int = 0) ->
 def perm_compose(w: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, ...]:
     """(w v)(k) = w(v(k))."""
     return tuple(w[v[k]] for k in range(len(v)))
-
-def perm_inverse(w: tuple[int, ...]) -> tuple[int, ...]:
-    out = [0] * len(w)
-    for k, img in enumerate(w):
-        out[img] = k
-    return tuple(out)
 
 
 def identity_perm(n: int) -> tuple[int, ...]:

@@ -59,6 +59,7 @@ class Multisegment:
     def __post_init__(self) -> None:
         object.__setattr__(self, "segments", tuple(sorted(self.segments)))
 
+    @functools.lru_cache(maxsize=None)
     def dim_vector(self, Q: Quiver) -> DimVector:
         counts = [0] * Q.n
         for s in self.segments:

@@ -14,6 +14,8 @@ remaining steps.
 over a prime field and counts the flags by direct enumeration of graded
 subspaces, with no reference to the recursion.  For a variety paved by
 affine cells the point count over F_q equals the Poincare polynomial at q.
+Within one call it counts each literal quotient (the same matrices with the
+same remaining steps) once; that memo lives only for the call.
 """
 
 from __future__ import annotations
@@ -332,14 +334,27 @@ class _MatRep:
         return _MatRep(self.Q, new_dims, new_mats, p)
 
 
-def _count_flags(rep: _MatRep, parts: tuple[DimVector, ...]) -> int:
+def _count_flags(
+    rep: _MatRep, parts: tuple[DimVector, ...], memo: dict[tuple, int]
+) -> int:
     if not parts:
         return 1 if all(d == 0 for d in rep.dims) else 0
+    # the literal matrices, not their isomorphism class: Q and p are fixed
+    # within one count_points call, so dims, entries and parts pin the count
+    key = (
+        tuple(rep.dims),
+        tuple(x for a in rep.Q.arrows() for row in rep.mats[a] for x in row),
+        parts,
+    )
+    hit = memo.get(key)
+    if hit is not None:
+        return hit
     step = parts[0]
     kernels = rep.socle_kernels()
     p = rep.p
     for v in rep.Q.vertices:
         if step[v] > len(kernels[v]):
+            memo[key] = 0
             return 0
     total = 0
     per_vertex_choices = []
@@ -357,7 +372,8 @@ def _count_flags(rep: _MatRep, parts: tuple[DimVector, ...]) -> int:
         per_vertex_choices.append(choices_v)
     for graded_choice in itertools.product(*per_vertex_choices):
         sub = rep.quotient(list(graded_choice))
-        total += _count_flags(sub, parts[1:])
+        total += _count_flags(sub, parts[1:], memo)
+    memo[key] = total
     return total
 
 
@@ -367,10 +383,15 @@ def count_points(Q: Quiver, M: Multisegment, comp: Composition, q: int) -> int:
     Independent of the paving recursion: the representation is materialized
     as shift matrices, the first flag step is enumerated as an actual graded
     subspace of the kernel of the arrow action via reduced echelon forms,
-    and the count proceeds on the matrix quotient.
+    and the count proceeds on the matrix quotient.  Distinct first steps
+    often give matrix-for-matrix identical quotients, so each call keeps a
+    memo of counts keyed on the literal quotient (dimensions, every matrix
+    entry, remaining parts).  It never identifies isomorphic quotients,
+    never consults the paving recursion or its cache, and is dropped when
+    the call returns.
     """
     if not is_prime(q):
         raise ValueError(f"{q} is not prime")
     _check_target(Q, M, comp)
     rep = _MatRep.from_multisegment(Q, M, q)
-    return _count_flags(rep, comp.parts)
+    return _count_flags(rep, comp.parts, {})

@@ -11,6 +11,7 @@ vector, in which case it is just a word in the vertex alphabet.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from math import factorial
@@ -46,20 +47,6 @@ class Quiver:
         if self.cyclic:
             return 1 if (v + 1) % self.n == w else 0
         return 1 if w == v + 1 else 0
-
-    def successor(self, v: int) -> int | None:
-        """Target of the unique arrow out of v, or None if there is none."""
-        self.check_vertex(v)
-        if self.cyclic:
-            return (v + 1) % self.n
-        return v + 1 if v + 1 < self.n else None
-
-    def predecessor_vertex(self, v: int) -> int:
-        """Vertex w with an arrow w -> v; for linear quivers may be -1 (absent)."""
-        self.check_vertex(v)
-        if self.cyclic:
-            return (v - 1) % self.n
-        return v - 1
 
     def arrows(self) -> list[tuple[int, int]]:
         """All arrows as (source, target) pairs."""
@@ -129,7 +116,7 @@ class Composition:
         if len(n) > 1:
             raise ValueError("composition parts live over different vertex sets")
 
-    @property
+    @functools.cached_property
     def target(self) -> DimVector:
         if not self.parts:
             return DimVector(())

@@ -85,6 +85,29 @@ def test_paving_agrees_with_point_counts_everywhere():
           f"in {elapsed:.1f}s")
 
 
+def test_paving_agrees_with_point_counts_at_total_five():
+    # the sweep above stops at total 4; this one adds every total-5 case on
+    # the quivers with at most two vertices, at two primes
+    t0 = time.monotonic()
+    checked = 0
+    for spec in ("A1", "cyclic:1", "A2", "cyclic:2"):
+        Q = parse_quiver(spec)
+        for d in dim_vectors(Q.n, 5):
+            dv = DimVector(d)
+            comps = enumerate_compositions(dv)
+            for M in enumerate_nilreps(Q, dv):
+                for comp in comps:
+                    P = poincare(Q, M, comp)
+                    for q in (2, 3):
+                        assert P.evaluate(q) == count_points(Q, M, comp, q), (
+                            spec, str(M), str(comp), q)
+                        checked += 1
+    elapsed = time.monotonic() - t0
+    assert elapsed < 300.0, f"total-5 paving sweep took {elapsed:.1f}s"
+    print(f"PASS total-5 paving equals point counts: {checked} comparisons "
+          f"in {elapsed:.1f}s")
+
+
 def test_subregular_springer_fiber():
     # loop quiver, M = (0,2)+(0,1), complete flags: P(q) = 1 + 2q and the
     # finite-field counts are produced by the oracle, not assumed

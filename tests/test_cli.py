@@ -11,6 +11,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -148,6 +149,24 @@ def test_complex_bad_input_ends_in_one_error_line(capsys, tmp_path, doc, op):
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert captured.err.count("\n") == 1
+
+
+def test_complex_refuses_a_huge_exponent_quickly(capsys, tmp_path):
+    # the bound is checked before the power is multiplied out
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({
+        "handle": "nilhecke:2", "generators": _TWO_GENS,
+        "differential": [[1, 0, "x1^99999"]],
+    }))
+    t0 = time.monotonic()
+    code = main(["complex", "--input", str(path), "--op", "validate"])
+    elapsed = time.monotonic() - t0
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "64" in captured.err
+    assert captured.err.count("\n") == 1
+    assert elapsed < 2.0, f"refusal took {elapsed:.1f}s"
 
 
 @pytest.mark.parametrize("argv", [

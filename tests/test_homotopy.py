@@ -260,6 +260,21 @@ def test_complexes_equal_ignores_generator_order():
     assert not complexes_equal(c1, c3)
 
 
+def test_complexes_equal_refuses_too_many_matchings():
+    # seven generators share one key: 7! = 5040 matchings exceed the bound
+    h = nil2()
+    gens = (Generator((0, 0), 0, 0),) * 7 + (Generator((0, 0), 1, 1),)
+
+    def cx(coeffs):
+        return GradedComplex(h, gens, {
+            (7, k): parse_element(h, f"{c}*x1*e(0,0)") for k, c in enumerate(coeffs)
+        })
+
+    assert complexes_equal(cx(range(1, 8)), cx(range(1, 8)))
+    with pytest.raises(ValueError, match="undecided"):
+        complexes_equal(cx(range(1, 8)), cx(range(7, 0, -1)))
+
+
 def test_smash_handle_inverts_transpositions():
     h = parse_handle("smash:2")
     gens = (Generator("e", 0, 0), Generator("e", 0, 1))

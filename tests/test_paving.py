@@ -12,6 +12,7 @@ the load-bearing check here.
 
 from __future__ import annotations
 
+import itertools
 import random
 from math import factorial
 
@@ -129,6 +130,76 @@ def test_poincare_equals_point_count_randomized():
                 for q in (2, 3):
                     assert P.evaluate(q) == count_points(Q, M, comp, q), (
                         str(Q), str(M), str(comp), q)
+
+
+def _naive_f2_count(Q, M, comp) -> int:
+    """Strictly lowering flags of type comp in M over F_2, by listing every
+    chain of graded subspaces.  Vectors are bitmasks; M is written out as
+    shift matrices here, without the oracle's matrix code."""
+    dims = [0] * Q.n
+    images: dict[tuple[int, int], dict[int, int]] = {a: {} for a in Q.arrows()}
+    for seg in M.segments:
+        supp = seg.support(Q)  # head first, socle last
+        index = []
+        for v in supp:
+            index.append(dims[v])
+            dims[v] += 1
+        for pos in range(len(supp) - 1):
+            arrow = (supp[pos], supp[pos + 1])
+            images[arrow][index[pos]] = 1 << index[pos + 1]
+
+    def apply(arrow, vec):
+        out = 0
+        for i, img in images[arrow].items():
+            if vec >> i & 1:
+                out ^= img
+        return out
+
+    def subspaces(d):
+        found = {frozenset([0])}
+        for gens in itertools.chain.from_iterable(
+                itertools.combinations(range(1, 2 ** d), k) for k in range(d + 1)):
+            span = {0}
+            for g in gens:
+                span |= {x ^ g for x in span}
+            found.add(frozenset(span))
+        return found
+
+    spaces = [subspaces(d) for d in dims]
+
+    def chains(prev, j, level):
+        if j == len(comp.parts):
+            return 1
+        level = [a + b for a, b in zip(level, comp.parts[j])]
+        total = 0
+        for graded in itertools.product(*(
+                [U for U in spaces[v] if len(U) == 2 ** level[v] and prev[v] <= U]
+                for v in Q.vertices)):
+            if all(apply((s, t), x) in prev[t]
+                   for (s, t) in Q.arrows() for x in graded[s]):
+                total += chains(graded, j + 1, level)
+        return total
+
+    return chains([frozenset([0])] * Q.n, 0, [0] * Q.n)
+
+
+def test_count_points_matches_naive_chain_enumeration_over_f2():
+    # a third side for the oracle: every chain of graded subspaces over F_2,
+    # with the arrow condition checked on each vector
+    checked = 0
+    for spec in ("A2", "cyclic:1"):
+        Q = parse_quiver(spec)
+        for total in range(1, 4):
+            for d in itertools.product(range(total + 1), repeat=Q.n):
+                if sum(d) != total:
+                    continue
+                dv = DimVector(d)
+                for M in enumerate_nilreps(Q, dv):
+                    for comp in enumerate_compositions(dv):
+                        assert _naive_f2_count(Q, M, comp) == count_points(
+                            Q, M, comp, 2), (spec, str(M), str(comp))
+                        checked += 1
+    assert checked > 50
 
 
 def test_poincare_polynomial_accessors():
