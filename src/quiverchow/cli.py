@@ -110,7 +110,7 @@ def _shared_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--trunc", type=_int_at_least(0), default=DEFAULT_TRUNC,
                    help="series truncation exponent in u (default 24)")
     p.add_argument("--format", choices=("json", "table"), default="json")
-    p.add_argument("--threads", type=int, default=1,
+    p.add_argument("--threads", type=_int_at_least(1), default=1,
                    help="worker pool size for independent cases")
     p.add_argument("--seed", type=int, default=0)
 
@@ -402,7 +402,10 @@ def cmd_complex(args) -> tuple[int, str]:
     else:
         with open(args.input, "r", encoding="utf-8") as fh:
             text = fh.read()
-    doc = json.loads(text)
+    try:
+        doc = json.loads(text)
+    except RecursionError:
+        raise ValueError("input JSON is nested too deeply") from None
     handle = parse_handle(args.handle) if args.handle else None
     c = complex_from_json(doc, handle)
     op = args.op

@@ -45,8 +45,15 @@ from .linalg import solve_exact
 from .quiver import DimVector, Quiver, cartan, parse_dimvector, parse_quiver
 
 MAX_EQUALITY_PERMUTATIONS = 720
-# largest exponent accepted in an expression; checked before multiplying
+# largest exponent accepted in an expression, with nested exponents
+# multiplied together; checked before multiplying
 MAX_EXPONENT = 64
+# a product of sums grows as the product of their term counts (KLR products
+# never collect terms): refuse a product of more term pairs
+MAX_PRODUCT_TERMS = 4096
+# deepest nesting of parentheses and unary minus in an expression; checked
+# before the recursive-descent parser runs out of interpreter stack
+MAX_NESTING = 100
 
 
 # ---------------------------------------------------------------------------
@@ -85,6 +92,10 @@ class AlgebraHandle:
 
     def mul(self, a, b):
         raise NotImplementedError
+
+    def term_count(self, a) -> int:
+        """Number of terms of a, which bounds the cost of a product."""
+        return len(a.terms)
 
     def is_zero(self, a) -> bool:
         raise NotImplementedError
@@ -328,6 +339,9 @@ class SmashHandle(AlgebraHandle):
     def mul(self, a, b):
         return smash_mul(a, b)
 
+    def term_count(self, a) -> int:
+        return sum(len(f.terms) for f in a.terms.values())
+
     def is_zero(self, a) -> bool:
         return a.is_zero()
 
@@ -459,6 +473,9 @@ class _ExprParser:
         self.handle = handle
         self.tokens = _tokenize(text)
         self.pos = 0
+        # one entry per factor being parsed (below a root entry): the
+        # largest combined exponent of the powers inside it so far
+        self.scales = [1]
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else (None, None)
@@ -498,29 +515,47 @@ class _ExprParser:
             kind, val = self.peek()
             if kind == "op" and val == "*":
                 self.take()
-                value = self.handle.mul(value, self.factor())
+                value = self.mul(value, self.factor())
             else:
                 return value
 
     def factor(self):
+        self.scales.append(1)
+        if len(self.scales) > MAX_NESTING:
+            raise ValueError(f"expression nested deeper than {MAX_NESTING}")
         kind, val = self.peek()
         if kind == "op" and val == "-":
             self.take()
-            return self.handle.neg(self.factor())
-        value = self.primary()
-        kind, val = self.peek()
-        if kind == "op" and val == "^":
-            self.take()
-            k2, v2 = self.take()
-            if k2 != "num":
-                raise ValueError("exponent must be a number")
-            if v2 > MAX_EXPONENT:
-                raise ValueError(f"exponent {v2} exceeds the bound {MAX_EXPONENT}")
-            out = self.handle.gen_element("num", 1)
-            for _ in range(v2):
-                out = self.handle.mul(out, value)
-            return out
+            value = self.handle.neg(self.factor())
+        else:
+            value = self.primary()
+            kind, val = self.peek()
+            if kind == "op" and val == "^":
+                self.take()
+                k2, v2 = self.take()
+                if k2 != "num":
+                    raise ValueError("exponent must be a number")
+                self.scales[-1] *= v2
+                if self.scales[-1] > MAX_EXPONENT:
+                    raise ValueError(
+                        f"exponent {self.scales[-1]} exceeds the bound "
+                        f"{MAX_EXPONENT} (nested exponents multiply)"
+                    )
+                out = self.handle.gen_element("num", 1)
+                for _ in range(v2):
+                    out = self.mul(out, value)
+                value = out
+        scale = self.scales.pop()
+        self.scales[-1] = max(self.scales[-1], scale)
         return value
+
+    def mul(self, a, b):
+        pairs = self.handle.term_count(a) * self.handle.term_count(b)
+        if pairs > MAX_PRODUCT_TERMS:
+            raise ValueError(
+                f"product of {pairs} term pairs exceeds the bound {MAX_PRODUCT_TERMS}"
+            )
+        return self.handle.mul(a, b)
 
     def primary(self):
         kind, val = self.take()

@@ -22,16 +22,10 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .linalg import rank_int
 from .quiver import DimVector, Quiver, cartan
-
-
-def _norm(c):
-    if isinstance(c, Fraction) and c.denominator == 1:
-        return int(c)
-    return c
+from .series import _norm_coeff
 
 
 # ---------------------------------------------------------------------------
@@ -49,7 +43,7 @@ class Poly:
         if terms:
             for e, c in terms.items():
                 if c != 0:
-                    self.terms[e] = _norm(c)
+                    self.terms[e] = _norm_coeff(c)
 
     @staticmethod
     def zero(n: int) -> "Poly":
@@ -338,7 +332,7 @@ class KLROperator:
         for c, atoms in self.terms:
             merged[atoms] = merged.get(atoms, 0) + c
         cleaned = tuple(
-            sorted((atoms, _norm(c)) for atoms, c in merged.items() if c != 0)
+            sorted((atoms, _norm_coeff(c)) for atoms, c in merged.items() if c != 0)
         )
         object.__setattr__(
             self, "terms", tuple((c, atoms) for atoms, c in cleaned)

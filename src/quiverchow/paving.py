@@ -14,6 +14,8 @@ remaining steps.
 over a prime field and counts the flags by direct enumeration of graded
 subspaces, with no reference to the recursion.  For a variety paved by
 affine cells the point count over F_q equals the Poincare polynomial at q.
+Its kernels, pivots and coordinate solves are Gaussian elimination over
+F_q, done by `linalg` (the same routine that eliminates over Q elsewhere).
 Within one call it counts each literal quotient (the same matrices with the
 same remaining steps) once; that memo lives only for the call.
 """
@@ -23,6 +25,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+from .linalg import kernel_basis, rref_fractions, solve_exact
 from .nilrep import Multisegment, quotient_by_socles, socle_basis
 from .quiver import Composition, DimVector, Quiver
 
@@ -167,48 +170,6 @@ def is_prime(q: int) -> bool:
     return True
 
 
-def _rref(rows: list[list[int]], p: int) -> list[list[int]]:
-    """Reduced row echelon form over F_p; drops zero rows."""
-    mat = [r[:] for r in rows]
-    width = len(mat[0]) if mat else 0
-    pivots = []
-    rank = 0
-    for col in range(width):
-        pivot = next((r for r in range(rank, len(mat)) if mat[r][col] % p), None)
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        inv = pow(mat[rank][col], -1, p)
-        mat[rank] = [(x * inv) % p for x in mat[rank]]
-        for r in range(len(mat)):
-            if r != rank and mat[r][col] % p:
-                f = mat[r][col]
-                mat[r] = [(a - f * b) % p for a, b in zip(mat[r], mat[rank])]
-        pivots.append(col)
-        rank += 1
-    return mat[:rank]
-
-
-def _kernel_basis(rows: list[list[int]], width: int, p: int) -> list[list[int]]:
-    """Basis of the right kernel of the matrix (as column vectors of length
-    width, returned as lists)."""
-    if not rows:
-        return [[1 if i == j else 0 for i in range(width)] for j in range(width)]
-    red = _rref(rows, p)
-    pivots = []
-    for r in red:
-        pivots.append(next(c for c in range(width) if r[c]))
-    free = [c for c in range(width) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [0] * width
-        vec[fc] = 1
-        for r, pc in zip(red, pivots):
-            vec[pc] = (-r[fc]) % p
-        basis.append(vec)
-    return basis
-
-
 def _rref_matrices(k: int, m: int, p: int):
     """All k x m matrices in reduced row echelon form with rank k over F_p;
     enumerates the Schubert decomposition of the Grassmannian Gr(k, m)."""
@@ -235,23 +196,6 @@ def _rref_matrices(k: int, m: int, p: int):
 
 def _mat_vec(mat: list[list[int]], vec: list[int], p: int) -> list[int]:
     return [sum(a * b for a, b in zip(row, vec)) % p for row in mat]
-
-
-def _solve_coords(basis_cols: list[list[int]], vec: list[int], p: int) -> list[int]:
-    """Coordinates of vec in the given basis (columns); basis must span it."""
-    width = len(basis_cols)
-    aug = [
-        [basis_cols[j][i] for j in range(width)] + [vec[i]]
-        for i in range(len(vec))
-    ]
-    red = _rref(aug, p)
-    coords = [0] * width
-    for row in red:
-        pc = next(c for c in range(width + 1) if row[c])
-        if pc == width:
-            raise ValueError("vector outside the span")
-        coords[pc] = row[width]
-    return coords
 
 
 class _MatRep:
@@ -292,7 +236,7 @@ class _MatRep:
             for (s, t), mat in self.mats.items():
                 if s == v:
                     rows.extend(mat)
-            out.append(_kernel_basis(rows, self.dims[v], self.p))
+            out.append(kernel_basis(rows, self.dims[v], self.p))
         return out
 
     def quotient(self, sub_bases: list[list[list[int]]]) -> "_MatRep":
@@ -300,15 +244,14 @@ class _MatRep:
         lists of vectors contained in the socle kernel)."""
         p = self.p
         new_dims = []
-        # per vertex: full basis = subspace vectors then complement standard
-        # vectors; store the inverse-change-of-basis data via _solve_coords
+        # per vertex: full basis = subspace vectors then the standard vectors
+        # off the subspace's pivot columns; images are solved in that basis
         complements: list[list[list[int]]] = []
         full_bases: list[list[list[int]]] = []
         for v in self.Q.vertices:
             sub = sub_bases[v]
             d = self.dims[v]
-            red = _rref([list(u) for u in sub], p) if sub else []
-            pivots = {next(c for c in range(d) if row[c]) for row in red}
+            _, pivots = rref_fractions(sub, p)
             comp = [
                 [1 if i == j else 0 for i in range(d)]
                 for j in range(d)
@@ -324,7 +267,9 @@ class _MatRep:
             for cvec in complements[s]:
                 img = _mat_vec(mat, cvec, p)
                 if any(img):
-                    coords = _solve_coords(full_bases[t], img, p)
+                    coords = solve_exact(full_bases[t], img, p)
+                    if coords is None:
+                        raise ValueError("vector outside the span")
                 else:
                     coords = [0] * self.dims[t]
                 cols.append(coords[k_t:])

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import io
 import json
+import random
 import subprocess
 import sys
 import time
@@ -138,8 +139,10 @@ _TWO_GENS = [[[0, 0], 0, 0], [[0, 0], 0, 1]]
       "differential": [[1, 0, "1/0"]]}, "validate"),
     ({"handle": "nilhecke:2", "generators": _TWO_GENS,
       "differential": [[5, 0, "e(0,0)"]]}, "minimize"),
+    ({"handle": "nilhecke:2", "generators": _TWO_GENS,
+      "differential": [[1, 0, "(" * 400 + "x1" + ")" * 400]]}, "validate"),
 ], ids=["missing-handle", "json-list", "crossing-out-of-range",
-        "zero-denominator", "entry-out-of-range"])
+        "zero-denominator", "entry-out-of-range", "deep-parentheses"])
 def test_complex_bad_input_ends_in_one_error_line(capsys, tmp_path, doc, op):
     path = tmp_path / "c.json"
     path.write_text(json.dumps(doc))
@@ -169,6 +172,94 @@ def test_complex_refuses_a_huge_exponent_quickly(capsys, tmp_path):
     assert elapsed < 2.0, f"refusal took {elapsed:.1f}s"
 
 
+def test_complex_refuses_a_power_of_a_sum_quickly(capsys, tmp_path):
+    # formal products never collect terms: (x1+x2)^64 would have 2^64
+    # terms, so the term bound refuses it before it multiplies out
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({
+        "handle": "nilhecke:2", "generators": _TWO_GENS,
+        "differential": [[1, 0, "(x1+x2)^64"]],
+    }))
+    t0 = time.monotonic()
+    code = main(["complex", "--input", str(path), "--op", "validate"])
+    elapsed = time.monotonic() - t0
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "term pairs" in captured.err
+    assert captured.err.count("\n") == 1
+    assert elapsed < 2.0, f"refusal took {elapsed:.1f}s"
+
+
+def test_complex_refuses_deeply_nested_json(capsys, tmp_path):
+    path = tmp_path / "c.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    code = main(["complex", "--input", str(path), "--op", "validate"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+
+
+_FUZZ_ATOMS = {
+    "nilhecke:2": ("x1", "x2", "psi1", "e(0,0)", "0", "1", "2", "1/2", "-3/4"),
+    "smash:2": ("x1", "x2", "s1", "e", "0", "1", "2", "1/2", "-3/4"),
+}
+_FUZZ_NOISE = ("+", "-", "*", "^", "^2", "^70", "(", ")", ",", "/", "e",
+               "e(0,1)", "psi2", "s1", "x3", "q")
+
+
+def _fuzz_expression(rng: random.Random, atoms: tuple, depth: int = 0) -> str:
+    roll = rng.random()
+    if roll < 0.1:
+        # token soup: mostly malformed
+        return "".join(rng.choice(atoms + _FUZZ_NOISE)
+                       for _ in range(rng.randint(1, 12)))
+    if depth > 3 or roll < 0.4:
+        return rng.choice(atoms)
+    left = _fuzz_expression(rng, atoms, depth + 1)
+    right = _fuzz_expression(rng, atoms, depth + 1)
+    shape = rng.randrange(5)
+    if shape == 0:
+        return f"{left}{rng.choice('+-*')}{right}"
+    if shape == 1:
+        return f"({left}+{right})^{rng.randint(0, 66)}"
+    if shape == 2:
+        return f"-({left})"
+    if shape == 3:
+        return f"{left}*({right})"
+    return f"({left})^{rng.randint(0, 4)}"
+
+
+def test_complex_validate_fuzz_never_crashes(capsys, tmp_path):
+    # every expression either validates (0), fails the check (2) or is
+    # refused with one error line (1), in bounded time and without a traceback
+    rng = random.Random(20240)
+    gens = {"nilhecke:2": _TWO_GENS, "smash:2": [["e", 0, 0], ["e", 0, 1]]}
+    path = tmp_path / "c.json"
+    seen = set()
+    for trial in range(300):
+        handle = ("nilhecke:2", "smash:2")[trial % 2]
+        expr = _fuzz_expression(rng, _FUZZ_ATOMS[handle])
+        path.write_text(json.dumps({
+            "handle": handle, "generators": gens[handle],
+            "differential": [[1, 0, expr]],
+        }))
+        t0 = time.monotonic()
+        code = main(["complex", "--input", str(path), "--op", "validate"])
+        elapsed = time.monotonic() - t0
+        captured = capsys.readouterr()
+        assert code in (0, 1, 2), (handle, expr)
+        assert "Traceback" not in captured.err, (handle, expr)
+        if code == 1:
+            assert captured.err.startswith("error: "), (handle, expr)
+            assert captured.err.count("\n") == 1, (handle, expr)
+        assert elapsed < 2.0, f"{handle} {expr!r} took {elapsed:.1f}s"
+        seen.add(code)
+    assert seen == {0, 1, 2}
+
+
 @pytest.mark.parametrize("argv", [
     ["suite", "relations", "--trials", "-3"],
     ["klr-selftest", "--quiver", "A2", "--dim", "1,1", "--trials", "0"],
@@ -176,7 +267,10 @@ def test_complex_refuses_a_huge_exponent_quickly(capsys, tmp_path):
     ["gdim", "--quiver", "A1", "--dim", "2", "--mode", "geo",
      "--word-i", "0,0", "--word-j", "0,0", "--trunc", "-4"],
     ["suite", "paving-oracle", "--max-total", "-1"],
-], ids=["trials", "selftest-trials", "count", "trunc", "max-total"])
+    ["suite", "relations", "--threads", "-3"],
+    ["gdim-table", "--quiver", "A2", "--dim", "1,1", "--threads", "0"],
+], ids=["trials", "selftest-trials", "count", "trunc", "max-total", "threads",
+        "threads-zero"])
 def test_out_of_range_flags_are_usage_errors(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()

@@ -86,6 +86,26 @@ def test_parse_element_expressions():
         parse_element(h, "y3")
 
 
+def test_parse_element_bounds_growth():
+    h, sm = nil2(), parse_handle("smash:2")
+    for handle in (h, sm):
+        # nested exponents multiply; their product is held to MAX_EXPONENT
+        assert handle.term_count(parse_element(handle, "(x1^8)^8")) == 1
+        with pytest.raises(ValueError, match="nested exponents"):
+            parse_element(handle, "((x1)^8)^9")
+        with pytest.raises(ValueError, match="nested deeper"):
+            parse_element(handle, "-" * 200 + "x1")
+    # (x1+x2)^12 has 2^12 formal KLR terms; one more factor is refused
+    assert h.term_count(parse_element(h, "(x1+x2)^12")) == 4096
+    with pytest.raises(ValueError, match="term pairs"):
+        parse_element(h, "(x1+x2)^13")
+    # smash elements are reduced, so their terms are monomials: (x1+x2+1)^d
+    # has all (d+1)(d+2)/2 monomials of degree at most d
+    assert sm.term_count(parse_element(sm, "(x1+x2+1)^40")) == 41 * 42 // 2
+    with pytest.raises(ValueError, match="term pairs"):
+        parse_element(sm, "(x1+x2+1)^64")
+
+
 def test_two_term_complex_validates():
     rep = validate(two_term())
     assert rep.ok and not rep.problems
