@@ -34,6 +34,7 @@ from .klrpoly import (
     LabeledPoly,
     Poly,
     SmashElement,
+    _checked_index,
     content_words,
     identity_perm,
     monomials_of_degree,
@@ -290,9 +291,9 @@ class KLRHandle(AlgebraHandle):
                 raise ValueError("this handle needs an idempotent word, e.g. e(0,0)")
             return KLROperator.e(self.Q, self.n, self.parse_idem(arg))
         if kind == "x":
-            return KLROperator.x(self.Q, self.n, _checked_index(kind, arg, self.n))
+            return KLROperator.x(self.Q, self.n, arg)
         if kind == "psi":
-            return KLROperator.psi(self.Q, self.n, _checked_index(kind, arg, self.n))
+            return KLROperator.psi(self.Q, self.n, arg)
         if kind == "num":
             return KLROperator.one(self.Q, self.n).scale(arg)
         raise ValueError(f"symbol {kind!r} has no meaning for this handle")
@@ -412,15 +413,6 @@ class SmashHandle(AlgebraHandle):
         if obj != "e":
             raise ValueError("this handle has a single idempotent 'e'")
         return "e"
-
-
-def _checked_index(kind: str, k: int, n: int) -> int:
-    """k itself when x_k (1..n) or the crossing psi_k / s_k (1..n-1)
-    exists on n strands."""
-    top = n if kind == "x" else n - 1
-    if not 1 <= k <= top:
-        raise ValueError(f"{kind}{k} does not exist on {n} strands (index 1..{top})")
-    return k
 
 
 def parse_handle(spec: str) -> AlgebraHandle:

@@ -6,9 +6,11 @@ polynomial generators x_1..x_n, and crossings psi_1..psi_{n-1}; it acts
 faithfully on word-labeled polynomials: e(i) projects, x_k multiplies, and
 psi_r either applies the divided difference (equal adjacent labels) or swaps
 the labels, permutes the variables, and multiplies by one linear factor per
-arrow from the left label to the right one.  `relation_suite` checks the
-defining relations of this presentation on seeded random inputs; it is the
-normative gate for the sign conventions.
+arrow from the left label to the right one.  The action runs on a flat map
+{(word, exponents): coefficient}: each generator rewrites exponent tuples
+directly, and `KLROperator.apply` builds one `LabeledPoly` at the end.
+`relation_suite` checks the defining relations of this presentation on
+seeded random inputs; it is the normative gate for the sign conventions.
 
 The second algebra is the smash product of a polynomial ring with the
 symmetric group, S # Q[S_n], with multiplication (f.w)(g.v) = f w(g) . wv;
@@ -22,6 +24,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
+from math import comb
 
 from .linalg import rank_int
 from .quiver import DimVector, Quiver, cartan
@@ -102,6 +105,8 @@ class Poly:
         return Poly(self.n, out)
 
     def pow(self, k: int) -> "Poly":
+        if k < 0:
+            raise ValueError(f"negative exponent {k}")
         out = Poly.one(self.n)
         for _ in range(k):
             out = out.mul(self)
@@ -272,35 +277,53 @@ class LabeledPoly:
 # the quiver Hecke action
 
 
-def _apply_atom(Q: Quiver, atom: tuple, m: LabeledPoly) -> LabeledPoly:
-    kind = atom[0]
-    n = m.n
+def _checked_index(kind: str, k: int, n: int) -> int:
+    """k itself when x_k (1..n) or the crossing psi_k / s_k (1..n-1)
+    exists on n strands."""
+    top = n if kind == "x" else n - 1
+    if not 1 <= k <= top:
+        raise ValueError(f"{kind}{k} does not exist on {n} strands (index 1..{top})")
+    return k
+
+
+def _act(Q: Quiver, atom: tuple, flat: dict) -> dict:
+    """One generator on a flat labeled polynomial {(word, exponents): c}.
+
+    Exponent tuples are rewritten in place of Poly arithmetic; a key whose
+    coefficient cancels is dropped, so an empty result is the zero map.
+    """
+    kind, arg = atom
     if kind == "e":
-        word = atom[1]
-        f = m.components.get(word)
-        return LabeledPoly(n, {word: f}) if f is not None else LabeledPoly(n)
+        return {key: c for key, c in flat.items() if key[0] == arg}
     if kind == "x":
-        xk = Poly.x(n, atom[1])
-        return LabeledPoly(n, {w: f.mul(xk) for w, f in m.components.items()})
-    if kind == "psi":
-        r = atom[1]  # crossing of positions r, r+1 (1-based)
-        out = LabeledPoly(n)
-        for w, f in m.components.items():
-            v, u = w[r - 1], w[r]
-            if v == u:
-                piece = LabeledPoly(n, {w: f.divided_difference(r - 1, r)})
-            else:
-                sw = list(w)
-                sw[r - 1], sw[r] = sw[r], sw[r - 1]
-                g = f.swap(r - 1, r)
-                arrows = Q.arrow_count(v, u)
-                if arrows:
-                    factor = Poly.x(n, r).sub(Poly.x(n, r + 1)).pow(arrows)
-                    g = g.mul(factor)
-                piece = LabeledPoly(n, {tuple(sw): g})
-            out = out.add(piece)
-        return out
-    raise ValueError(f"unknown atom {atom!r}")
+        k = arg - 1
+        return {(w, e[:k] + (e[k] + 1,) + e[k + 1:]): c for (w, e), c in flat.items()}
+    if kind != "psi":
+        raise ValueError(f"unknown atom {atom!r}")
+    k = arg - 1  # crossing of the 0-based positions k, k+1
+    out: dict = {}
+    for (w, e), c in flat.items():
+        v, u = w[k], w[k + 1]
+        p, q = e[k], e[k + 1]
+        head, tail = e[:k], e[k + 2:]
+        if v == u:
+            # divided difference, as in Poly.divided_difference
+            if p == q:
+                continue
+            signed = c if p > q else -c
+            lo, hi = min(p, q), max(p, q)
+            for t in range(hi - lo):
+                key = (w, head + (lo + t, hi - 1 - t) + tail)
+                out[key] = out.get(key, 0) + signed
+        else:
+            # swap letters and exponents, then one factor (x_r - x_{r+1})
+            # per arrow v -> u, expanded binomially
+            sw = w[:k] + (u, v) + w[k + 2:]
+            arrows = Q.arrow_count(v, u)
+            for j in range(arrows + 1):
+                key = (sw, head + (q + arrows - j, p + j) + tail)
+                out[key] = out.get(key, 0) + (-1) ** j * comb(arrows, j) * c
+    return {key: c for key, c in out.items() if c != 0}
 
 
 def atom_degree(Q: Quiver, atom: tuple, word: tuple[int, ...]) -> int:
@@ -320,7 +343,10 @@ class KLROperator:
 
     Terms are (coefficient, atoms) with atoms written left to right in
     operator order: the rightmost atom acts first.  Elements are never
-    normal-formed; equality questions go through the action.
+    normal-formed; equality questions go through the action.  `apply`
+    flattens its input once to {(word, exponents): coefficient} and folds
+    each term's atoms through that map; the generator constructors refuse
+    indices and words outside the algebra on n strands.
     """
 
     Q: Quiver
@@ -331,11 +357,10 @@ class KLROperator:
         merged: dict[tuple, object] = {}
         for c, atoms in self.terms:
             merged[atoms] = merged.get(atoms, 0) + c
-        cleaned = tuple(
-            sorted((atoms, _norm_coeff(c)) for atoms, c in merged.items() if c != 0)
-        )
         object.__setattr__(
-            self, "terms", tuple((c, atoms) for atoms, c in cleaned)
+            self,
+            "terms",
+            tuple((_norm_coeff(c), atoms) for atoms, c in sorted(merged.items()) if c != 0),
         )
 
     # constructors
@@ -350,15 +375,18 @@ class KLROperator:
 
     @staticmethod
     def e(Q: Quiver, n: int, word) -> "KLROperator":
-        return KLROperator(Q, n, ((1, (("e", tuple(word)),)),))
+        word = tuple(word)
+        if len(word) != n or not set(word) <= set(Q.vertices):
+            raise ValueError(f"e{word} is not a word of length {n} on the vertices of {Q}")
+        return KLROperator(Q, n, ((1, (("e", word),)),))
 
     @staticmethod
     def x(Q: Quiver, n: int, k: int) -> "KLROperator":
-        return KLROperator(Q, n, ((1, (("x", k),)),))
+        return KLROperator(Q, n, ((1, (("x", _checked_index("x", k, n)),)),))
 
     @staticmethod
     def psi(Q: Quiver, n: int, r: int) -> "KLROperator":
-        return KLROperator(Q, n, ((1, (("psi", r),)),))
+        return KLROperator(Q, n, ((1, (("psi", _checked_index("psi", r, n)),)),))
 
     @staticmethod
     def from_poly(Q: Quiver, n: int, f: Poly) -> "KLROperator":
@@ -371,7 +399,14 @@ class KLROperator:
 
     # arithmetic
 
+    def _check_same_algebra(self, other: "KLROperator") -> None:
+        if (self.Q, self.n) != (other.Q, other.n):
+            raise ValueError(
+                f"operators on ({self.Q}, {self.n}) and ({other.Q}, {other.n}) do not combine"
+            )
+
     def __add__(self, other: "KLROperator") -> "KLROperator":
+        self._check_same_algebra(other)
         return KLROperator(self.Q, self.n, self.terms + other.terms)
 
     def __sub__(self, other: "KLROperator") -> "KLROperator":
@@ -386,6 +421,7 @@ class KLROperator:
         return self.scale(-1)
 
     def __mul__(self, other: "KLROperator") -> "KLROperator":
+        self._check_same_algebra(other)
         out = []
         for c1, a1 in self.terms:
             for c2, a2 in other.terms:
@@ -393,15 +429,22 @@ class KLROperator:
         return KLROperator(self.Q, self.n, tuple(out))
 
     def apply(self, m: LabeledPoly) -> LabeledPoly:
-        total = LabeledPoly.zero(self.n)
+        if m.n != self.n:
+            raise ValueError(f"a polynomial in {m.n} variables on {self.n} strands")
+        flat = {(w, e): c for w, f in m.components.items() for e, c in f.terms.items()}
+        total: dict = {}
         for c, atoms in self.terms:
-            cur = m
+            cur = flat
             for atom in reversed(atoms):
-                if cur.is_zero():
+                if not cur:
                     break
-                cur = _apply_atom(self.Q, atom, cur)
-            total = total.add(cur.scale(c))
-        return total
+                cur = _act(self.Q, atom, cur)
+            for key, v in cur.items():
+                total[key] = total.get(key, 0) + c * v
+        by_word: dict = {}
+        for (w, e), v in total.items():
+            by_word.setdefault(w, {})[e] = v
+        return LabeledPoly(self.n, {w: Poly(self.n, t) for w, t in by_word.items()})
 
     def __str__(self) -> str:
         if not self.terms:
@@ -514,9 +557,9 @@ def relation_suite(Q: Quiver, d: DimVector, trials: int = 100, seed: int = 0) ->
         raise ValueError("the relation suite needs a dimension vector with positive total")
     n = d.total
     words = content_words(Q, d)
-    E = lambda w: KLROperator.e(Q, n, w)
-    X = lambda k: KLROperator.x(Q, n, k)
-    PSI = lambda r: KLROperator.psi(Q, n, r)
+    E = {w: KLROperator.e(Q, n, w) for w in words}
+    X = {k: KLROperator.x(Q, n, k) for k in range(1, n + 1)}
+    PSI = {r: KLROperator.psi(Q, n, r) for r in range(1, n)}
 
     def check_equal(lhs: KLROperator, rhs: KLROperator, f: LabeledPoly) -> bool:
         return lhs.apply(f) == rhs.apply(f)
@@ -534,13 +577,13 @@ def relation_suite(Q: Quiver, d: DimVector, trials: int = 100, seed: int = 0) ->
         f = _rand_labeled(rng, n, words)
         i = rng.choice(words)
         j = rng.choice(words)
-        lhs = (E(i) * E(j)).apply(f)
-        rhs = E(i).apply(f) if i == j else LabeledPoly.zero(n)
+        lhs = (E[i] * E[j]).apply(f)
+        rhs = E[i].apply(f) if i == j else LabeledPoly.zero(n)
         if lhs != rhs:
             return f"e({i})e({j}) on {f}"
         total = LabeledPoly.zero(n)
         for w in words:
-            total = total.add(E(w).apply(f))
+            total = total.add(E[w].apply(f))
         if total != f:
             return f"sum of idempotents on {f}"
         return None
@@ -550,7 +593,7 @@ def relation_suite(Q: Quiver, d: DimVector, trials: int = 100, seed: int = 0) ->
         f = _rand_labeled(rng, n, words)
         k = rng.randint(1, n)
         l = rng.randint(1, n)
-        if not check_equal(X(k) * X(l), X(l) * X(k), f):
+        if not check_equal(X[k] * X[l], X[l] * X[k], f):
             return f"x{k} x{l} on {f}"
         return None
 
@@ -563,7 +606,7 @@ def relation_suite(Q: Quiver, d: DimVector, trials: int = 100, seed: int = 0) ->
             i = rng.choice(words)
             si = list(i)
             si[r - 1], si[r] = si[r], si[r - 1]
-            if not check_equal(PSI(r) * E(i), E(tuple(si)) * PSI(r), f):
+            if not check_equal(PSI[r] * E[i], E[tuple(si)] * PSI[r], f):
                 return f"psi{r} e({i}) exchange on {f}"
             return None
 
@@ -573,8 +616,8 @@ def relation_suite(Q: Quiver, d: DimVector, trials: int = 100, seed: int = 0) ->
             r = rng.randint(1, n - 1)
             i = rng.choice(words)
             delta = 1 if i[r - 1] == i[r] else 0
-            lhs = PSI(r) * X(r) * E(i) - X(r + 1) * PSI(r) * E(i)
-            rhs = E(i).scale(delta)
+            lhs = PSI[r] * X[r] * E[i] - X[r + 1] * PSI[r] * E[i]
+            rhs = E[i].scale(delta)
             if not check_equal(lhs, rhs, f):
                 return f"(psi{r} x{r} - x{r + 1} psi{r}) e({i}) on {f}"
             return None
@@ -585,8 +628,8 @@ def relation_suite(Q: Quiver, d: DimVector, trials: int = 100, seed: int = 0) ->
             r = rng.randint(1, n - 1)
             i = rng.choice(words)
             delta = 1 if i[r - 1] == i[r] else 0
-            lhs = X(r) * PSI(r) * E(i) - PSI(r) * X(r + 1) * E(i)
-            rhs = E(i).scale(delta)
+            lhs = X[r] * PSI[r] * E[i] - PSI[r] * X[r + 1] * E[i]
+            rhs = E[i].scale(delta)
             if not check_equal(lhs, rhs, f):
                 return f"(x{r} psi{r} - psi{r} x{r + 1}) e({i}) on {f}"
             return None
@@ -597,8 +640,8 @@ def relation_suite(Q: Quiver, d: DimVector, trials: int = 100, seed: int = 0) ->
             r = rng.randint(1, n - 1)
             i = rng.choice(words)
             q = q_factor(Q, n, i[r - 1], i[r], r)
-            lhs = PSI(r) * PSI(r) * E(i)
-            rhs = KLROperator.from_poly(Q, n, q) * E(i)
+            lhs = PSI[r] * PSI[r] * E[i]
+            rhs = KLROperator.from_poly(Q, n, q) * E[i]
             if not check_equal(lhs, rhs, f):
                 return f"psi{r}^2 e({i}) on {f}"
             return None
@@ -611,7 +654,7 @@ def relation_suite(Q: Quiver, d: DimVector, trials: int = 100, seed: int = 0) ->
             r = rng.randint(1, n - 1)
             others = [s for s in range(1, n + 1) if s not in (r, r + 1)]
             s = rng.choice(others)
-            if not check_equal(PSI(r) * X(s), X(s) * PSI(r), f):
+            if not check_equal(PSI[r] * X[s], X[s] * PSI[r], f):
                 return f"psi{r} x{s} on {f}"
             return None
 
@@ -621,10 +664,10 @@ def relation_suite(Q: Quiver, d: DimVector, trials: int = 100, seed: int = 0) ->
             r = rng.randint(1, n - 2)
             i = rng.choice(words)
             lhs = (
-                PSI(r) * PSI(r + 1) * PSI(r) * E(i)
-                - PSI(r + 1) * PSI(r) * PSI(r + 1) * E(i)
+                PSI[r] * PSI[r + 1] * PSI[r] * E[i]
+                - PSI[r + 1] * PSI[r] * PSI[r + 1] * E[i]
             )
-            rhs = KLROperator.from_poly(Q, n, braid_correction(Q, n, i, r)) * E(i)
+            rhs = KLROperator.from_poly(Q, n, braid_correction(Q, n, i, r)) * E[i]
             if not check_equal(lhs, rhs, f):
                 return f"braid at {r} on e({i}), {f}"
             return None
@@ -636,14 +679,12 @@ def relation_suite(Q: Quiver, d: DimVector, trials: int = 100, seed: int = 0) ->
             f = _rand_labeled(rng, n, words)
             r = rng.randint(1, n - 3)
             s = rng.randint(r + 2, n - 1)
-            if not check_equal(PSI(r) * PSI(s), PSI(s) * PSI(r), f):
+            if not check_equal(PSI[r] * PSI[s], PSI[s] * PSI[r], f):
                 return f"psi{r} psi{s} on {f}"
             return None
 
     @fam("degree-homogeneity")
     def _homog(rng: random.Random) -> str | None:
-        if n == 0:
-            return None
         i = rng.choice(words)
         exps = tuple(rng.randint(0, 2) for _ in range(n))
         f = LabeledPoly.from_poly(i, Poly.monomial(n, exps, rng.choice([1, 2, -1])))
@@ -653,7 +694,7 @@ def relation_suite(Q: Quiver, d: DimVector, trials: int = 100, seed: int = 0) ->
             gens.append(("psi", rng.randint(1, n - 1)))
         atom = rng.choice(gens)
         shift = atom_degree(Q, atom, i)
-        out = _apply_atom(Q, atom, f)
+        out = KLROperator(Q, n, ((1, (atom,)),)).apply(f)
         degs = out.offset_degrees(Q)
         if degs and degs != {in_deg + shift}:
             return f"{atom} on {f}: degrees {sorted(degs)}, expected {in_deg + shift}"

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import io
 import json
+import os
 import random
 import subprocess
 import sys
@@ -16,6 +17,7 @@ import time
 
 import pytest
 
+import quiverchow
 from quiverchow.cli import main
 
 
@@ -371,4 +373,16 @@ def test_console_script_is_wired():
          "--rep", "(0,1)+(0,2)", "--comp", "1;1;1", "--q", "2"],
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0
+    assert json.loads(proc.stdout)["count"] == 5
+
+
+def test_module_runs_without_install():
+    src = os.path.dirname(os.path.dirname(quiverchow.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "quiverchow", "count", "--quiver", "cyclic:1",
+         "--dim", "3", "--rep", "(0,1)+(0,2)", "--comp", "1;1;1", "--q", "2"],
+        capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["count"] == 5

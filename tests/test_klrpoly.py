@@ -117,6 +117,113 @@ def test_unequal_label_crossing_twists_and_multiplies():
     assert back == LabeledPoly.from_poly((0, 1), Poly.one(2))
 
 
+def reference_atom(Q, atom: tuple, m: LabeledPoly) -> LabeledPoly:
+    """One generator on a labeled polynomial, from Poly primitives only."""
+    kind, arg = atom
+    n = m.n
+    if kind == "e":
+        f = m.components.get(arg)
+        return LabeledPoly(n, {arg: f}) if f is not None else LabeledPoly(n)
+    if kind == "x":
+        return LabeledPoly(n, {w: f.mul(Poly.x(n, arg)) for w, f in m.components.items()})
+    r = arg
+    out = LabeledPoly(n)
+    for w, f in m.components.items():
+        v, u = w[r - 1], w[r]
+        if v == u:
+            out = out.add(LabeledPoly(n, {w: f.divided_difference(r - 1, r)}))
+            continue
+        sw = list(w)
+        sw[r - 1], sw[r] = u, v
+        g = f.swap(r - 1, r)
+        for _ in range(Q.arrow_count(v, u)):
+            g = g.mul(Poly.x(n, r).sub(Poly.x(n, r + 1)))
+        out = out.add(LabeledPoly(n, {tuple(sw): g}))
+    return out
+
+
+def test_action_matches_poly_reference():
+    # random operators of up to three terms, each a string of at most four
+    # generators, on random labeled polynomials with int and Fraction
+    # coefficients; "x_k x_l - x_l x_k" terms and symmetric inputs under
+    # equal-label crossings make some results cancel to zero
+    rng = random.Random(41)
+    coeffs = [-2, -1, 1, 3, Fraction(1, 2), Fraction(-2, 3)]
+    zeros = nonzeros = 0
+    for _ in range(400):
+        Q = parse_quiver(rng.choice(["A1", "A2", "A3", "cyclic:1", "cyclic:2", "cyclic:3"]))
+        n = rng.randint(1, 4)
+        d = [0] * Q.n
+        for _ in range(n):
+            d[rng.randrange(Q.n)] += 1
+        words = content_words(Q, DimVector(tuple(d)))
+        comps = {}
+        for w in rng.sample(words, min(len(words), rng.randint(1, 3))):
+            g = rand_poly(rng, n).scale(rng.choice(coeffs))
+            if n >= 2 and rng.random() < 0.3:
+                g = g.add(g.swap(0, 1))
+            comps[w] = g
+        f = LabeledPoly(n, comps)
+        atoms_of = [lambda: ("e", rng.choice(words)), lambda: ("x", rng.randint(1, n))]
+        if n >= 2:
+            atoms_of += [lambda: ("psi", rng.randint(1, n - 1))] * 2
+        terms = []
+        for _ in range(rng.randint(1, 3)):
+            atoms = tuple(rng.choice(atoms_of)() for _ in range(rng.randint(0, 4)))
+            terms.append((rng.choice(coeffs), atoms))
+        if n >= 2 and rng.random() < 0.3:
+            k, l = rng.sample(range(1, n + 1), 2)
+            tail = tuple(rng.choice(atoms_of)() for _ in range(rng.randint(0, 2)))
+            terms += [(1, (("x", k), ("x", l)) + tail), (-1, (("x", l), ("x", k)) + tail)]
+        op = KLROperator(Q, n, tuple(terms))
+        expect = LabeledPoly(n)
+        for c, atoms in op.terms:
+            cur = f
+            for atom in reversed(atoms):
+                cur = reference_atom(Q, atom, cur)
+            expect = expect.add(cur.scale(c))
+        got = op.apply(f)
+        assert got == expect, (str(Q), str(op), str(f))
+        if got.is_zero():
+            zeros += 1
+        else:
+            nonzeros += 1
+    assert zeros >= 30 and nonzeros >= 200, (zeros, nonzeros)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: KLROperator.psi(A2, 2, 0),
+        lambda: KLROperator.psi(A2, 2, 2),
+        lambda: KLROperator.psi(A2, 2, 5),
+        lambda: KLROperator.x(A2, 2, 0),
+        lambda: KLROperator.x(A2, 2, 3),
+        lambda: KLROperator.e(A2, 2, (0,)),
+        lambda: KLROperator.e(A2, 2, (0, 1, 1)),
+        lambda: KLROperator.e(A2, 2, (0, 2)),
+        lambda: KLROperator.x(A2, 2, 1) + KLROperator.x(parse_quiver("A3"), 3, 1),
+        lambda: KLROperator.x(A2, 2, 1) * KLROperator.x(parse_quiver("A3"), 3, 1),
+        lambda: KLROperator.x(A2, 2, 1) - KLROperator.x(A1, 2, 1),
+        lambda: KLROperator.x(A2, 2, 1) * KLROperator.x(A2, 3, 1),
+        lambda: KLROperator.x(A2, 2, 1).apply(LabeledPoly.from_poly((0,), Poly.x(1, 1))),
+    ],
+    ids=["psi-zero", "psi-last", "psi-past-end", "x-zero", "x-past-end",
+         "e-short", "e-long", "e-bad-letter", "add-other-quiver",
+         "mul-other-quiver", "sub-other-quiver", "mul-other-strands",
+         "apply-other-variables"],
+)
+def test_out_of_range_generators_are_refused(build):
+    with pytest.raises(ValueError):
+        build()
+
+
+def test_poly_pow_refuses_negative_exponent():
+    assert Poly.x(2, 1).pow(0) == Poly.one(2)
+    with pytest.raises(ValueError):
+        Poly.x(2, 1).pow(-1)
+
+
 def test_nil_hecke_squares_to_zero():
     rng = random.Random(13)
     psi = KLROperator.psi(A1, 2, 1)
