@@ -203,7 +203,7 @@ class KLRHandle(AlgebraHandle):
                 if not out.is_zero():
                     return False
                 continue
-            if any(ow != to for ow in out.components):
+            if any(ow != to for ow, _ in out.terms):
                 return False
             degs = out.offset_degrees(self.Q)
             want = 2 * sum(exps) + word_offset(self.Q, w) + degree
@@ -247,13 +247,6 @@ class KLRHandle(AlgebraHandle):
         self._basis_cache[key] = basis
         return basis
 
-    def _coords(self, m: LabeledPoly) -> dict:
-        return {
-            (w, exps): c
-            for w, f in m.components.items()
-            for exps, c in f.terms.items()
-        }
-
     def invert_degree_zero(self, a, frm, to):
         basis = self.block_basis(to, frm, 0)
         if not basis:
@@ -265,13 +258,13 @@ class KLRHandle(AlgebraHandle):
         for idx, f in enumerate(self._inputs):
             inp = f[2]
             for t, b in enumerate(basis):
-                for key, c in self._coords((b * a).apply(inp)).items():
+                for key, c in (b * a).apply(inp).terms.items():
                     col_maps[t][("L", idx, key)] = c
-                for key, c in self._coords((a * b).apply(inp)).items():
+                for key, c in (a * b).apply(inp).terms.items():
                     col_maps[t][("R", idx, key)] = c
-            for key, c in self._coords(eq_src.apply(inp)).items():
+            for key, c in eq_src.apply(inp).terms.items():
                 rhs_map[("L", idx, key)] = c
-            for key, c in self._coords(eq_tgt.apply(inp)).items():
+            for key, c in eq_tgt.apply(inp).terms.items():
                 rhs_map[("R", idx, key)] = c
         keys = sorted(set().union(rhs_map, *col_maps), key=repr)
         columns = [[m.get(k, 0) for k in keys] for m in col_maps]
@@ -332,16 +325,13 @@ class SmashHandle(AlgebraHandle):
         return a.add(b)
 
     def neg(self, a):
-        return a.scale(-1)
+        return a.neg()
 
     def scale(self, a, c):
         return a.scale(c)
 
     def mul(self, a, b):
         return smash_mul(a, b)
-
-    def term_count(self, a) -> int:
-        return sum(len(f.terms) for f in a.terms.values())
 
     def is_zero(self, a) -> bool:
         return a.is_zero()
@@ -362,13 +352,10 @@ class SmashHandle(AlgebraHandle):
         ]
 
     def invert_degree_zero(self, a, frm, to):
-        coeffs: dict[tuple, object] = {}
-        for w, f in a.terms.items():
-            const = f.terms.get((0,) * self.n, 0)
-            if f.terms and set(f.terms) != {(0,) * self.n}:
-                return None
-            if const:
-                coeffs[w] = const
+        constant = (0,) * self.n
+        if any(e != constant for _, e in a.terms):
+            return None
+        coeffs = {w: c for (w, _), c in a.terms.items()}
         if not coeffs:
             return None
         perms = self._perms
@@ -385,10 +372,7 @@ class SmashHandle(AlgebraHandle):
         sol = solve_exact(columns, rhs)
         if sol is None:
             return None
-        inv = SmashElement(
-            self.n,
-            {v: Poly.constant(self.n, c) for v, c in zip(perms, sol) if c},
-        )
+        inv = SmashElement._flat(self.n, {(v, constant): c for v, c in zip(perms, sol)})
         if self.mul(inv, a) != self.unit("e") or self.mul(a, inv) != self.unit("e"):
             return None
         return inv

@@ -6,15 +6,19 @@ polynomial generators x_1..x_n, and crossings psi_1..psi_{n-1}; it acts
 faithfully on word-labeled polynomials: e(i) projects, x_k multiplies, and
 psi_r either applies the divided difference (equal adjacent labels) or swaps
 the labels, permutes the variables, and multiplies by one linear factor per
-arrow from the left label to the right one.  The action runs on a flat map
-{(word, exponents): coefficient}: each generator rewrites exponent tuples
-directly, and `KLROperator.apply` builds one `LabeledPoly` at the end.
+arrow from the left label to the right one.  A `LabeledPoly` is stored
+flat, as {(word, exponents): coefficient}, and the action runs on that map:
+each generator rewrites exponent tuples directly, and `KLROperator.apply`
+reads the input's map and returns its result map as a `LabeledPoly`.
 `relation_suite` checks the defining relations of this presentation on
 seeded random inputs; it is the normative gate for the sign conventions.
 
 The second algebra is the smash product of a polynomial ring with the
 symmetric group, S # Q[S_n], with multiplication (f.w)(g.v) = f w(g) . wv;
-its degree-slice centralizer dimensions reproduce partition counts.
+its degree-slice centralizer dimensions reproduce partition counts.  A
+`SmashElement` is stored flat too, as {(permutation, exponents): coefficient}.
+`Poly`, `LabeledPoly` and `SmashElement` share one sparse base, `_Sparse`,
+for equality, hashing and the linear operations.
 
 All arithmetic is exact (ints and Fractions); nothing here floats.
 """
@@ -35,22 +39,73 @@ from .series import _norm_coeff
 # exact multivariate polynomials
 
 
-class Poly:
-    """Polynomial in x_1..x_n: dict from exponent tuples to coefficients."""
+class _Sparse:
+    """A finite map from keys to nonzero coefficients, normalised so that an
+    integral Fraction is stored as an int; the subclass fixes what a key
+    means.  Equality, hashing and the linear operations live here once."""
 
     __slots__ = ("n", "terms")
 
     def __init__(self, n: int, terms=None):
         self.n = n
-        self.terms = {}
-        if terms:
-            for e, c in terms.items():
-                if c != 0:
-                    self.terms[e] = _norm_coeff(c)
+        self.terms = {k: _norm_coeff(c) for k, c in terms.items() if c != 0} if terms else {}
 
-    @staticmethod
-    def zero(n: int) -> "Poly":
-        return Poly(n)
+    @classmethod
+    def _flat(cls, n: int, terms: dict):
+        """An instance built directly from its key -> coefficient map."""
+        out = cls.__new__(cls)
+        _Sparse.__init__(out, n, terms)
+        return out
+
+    @classmethod
+    def zero(cls, n: int):
+        return cls(n)
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and self.n == other.n and self.terms == other.terms
+
+    def __hash__(self):
+        return hash((self.n, frozenset(self.terms.items())))
+
+    def add(self, other):
+        out = dict(self.terms)
+        for k, c in other.terms.items():
+            out[k] = out.get(k, 0) + c
+        return self._flat(self.n, out)
+
+    def neg(self):
+        return self._flat(self.n, {k: -c for k, c in self.terms.items()})
+
+    def sub(self, other):
+        return self.add(other.neg())
+
+    def scale(self, factor):
+        return self._flat(self.n, {k: c * factor for k, c in self.terms.items()})
+
+    def __repr__(self) -> str:
+        return str(self)
+
+
+def _flatten(components) -> dict:
+    """Flat {(label, exponents): coefficient} terms from {label: Poly}."""
+    return {(w, e): c for w, f in (components or {}).items() for e, c in f.terms.items()}
+
+
+def _by_label(n: int, terms: dict) -> dict:
+    """{label: Poly} from flat {(label, exponents): coefficient} terms."""
+    out: dict = {}
+    for (label, e), c in terms.items():
+        out.setdefault(label, {})[e] = c
+    return {label: Poly(n, t) for label, t in out.items()}
+
+
+class Poly(_Sparse):
+    """Polynomial in x_1..x_n: dict from exponent tuples to coefficients."""
+
+    __slots__ = ()
 
     @staticmethod
     def constant(n: int, c) -> "Poly":
@@ -71,30 +126,6 @@ class Poly:
     @staticmethod
     def monomial(n: int, exps, coeff=1) -> "Poly":
         return Poly(n, {tuple(exps): coeff})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Poly) and self.n == other.n and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.n, frozenset(self.terms.items())))
-
-    def add(self, other: "Poly") -> "Poly":
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, 0) + c
-        return Poly(self.n, out)
-
-    def neg(self) -> "Poly":
-        return Poly(self.n, {e: -c for e, c in self.terms.items()})
-
-    def sub(self, other: "Poly") -> "Poly":
-        return self.add(other.neg())
-
-    def scale(self, factor) -> "Poly":
-        return Poly(self.n, {e: c * factor for e, c in self.terms.items()})
 
     def mul(self, other: "Poly") -> "Poly":
         out: dict = {}
@@ -150,13 +181,6 @@ class Poly:
                 out[key] = out.get(key, 0) + sign * c
         return Poly(self.n, out)
 
-    def total_degrees(self) -> set[int]:
-        return {sum(e) for e in self.terms}
-
-    def degree(self) -> int:
-        """Maximal total degree; -1 for the zero polynomial."""
-        return max((sum(e) for e in self.terms), default=-1)
-
     def homogeneous_part(self, deg: int) -> "Poly":
         return Poly(self.n, {e: c for e, c in self.terms.items() if sum(e) == deg})
 
@@ -181,8 +205,6 @@ class Poly:
                 chunks.append(f"{c}*" + "*".join(factors))
         return " + ".join(chunks).replace("+ -", "- ")
 
-    __repr__ = __str__
-
 
 # ---------------------------------------------------------------------------
 # words and labeled polynomials
@@ -206,71 +228,36 @@ def word_offset(Q: Quiver, word: tuple[int, ...]) -> int:
     return total
 
 
-class LabeledPoly:
-    """Finite map from words (all of one content) to polynomials."""
+class LabeledPoly(_Sparse):
+    """Finite map from words (all of one content) to polynomials, stored
+    flat as {(word, exponents): coefficient}.  The constructor takes
+    {word: Poly}, and `components` gives that view back."""
 
-    __slots__ = ("n", "components")
+    __slots__ = ()
 
     def __init__(self, n: int, components=None):
-        self.n = n
-        self.components = {}
-        if components:
-            for w, f in components.items():
-                if not f.is_zero():
-                    self.components[w] = f
+        super().__init__(n, _flatten(components))
 
-    @staticmethod
-    def zero(n: int) -> "LabeledPoly":
-        return LabeledPoly(n)
+    @property
+    def components(self) -> dict:
+        """{word: Poly}, one nonzero polynomial per word present."""
+        return _by_label(self.n, self.terms)
 
     @staticmethod
     def from_poly(word: tuple[int, ...], f: Poly) -> "LabeledPoly":
         return LabeledPoly(f.n, {word: f})
 
-    def is_zero(self) -> bool:
-        return not self.components
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, LabeledPoly)
-            and self.n == other.n
-            and self.components == other.components
-        )
-
-    def __hash__(self):
-        return hash((self.n, frozenset(self.components.items())))
-
-    def add(self, other: "LabeledPoly") -> "LabeledPoly":
-        out = dict(self.components)
-        for w, f in other.components.items():
-            out[w] = out[w].add(f) if w in out else f
-        return LabeledPoly(self.n, out)
-
-    def sub(self, other: "LabeledPoly") -> "LabeledPoly":
-        return self.add(other.scale(-1))
-
-    def scale(self, factor) -> "LabeledPoly":
-        return LabeledPoly(
-            self.n, {w: f.scale(factor) for w, f in self.components.items()}
-        )
-
     def offset_degrees(self, Q: Quiver) -> set[int]:
         """All graded degrees present: twice the polynomial degree plus the
-        word offset, over every monomial of every component."""
-        out: set[int] = set()
-        for w, f in self.components.items():
-            c = word_offset(Q, w)
-            out.update(2 * t + c for t in f.total_degrees())
-        return out
+        word offset, over every monomial."""
+        return {2 * sum(e) + word_offset(Q, w) for w, e in self.terms}
 
     def __str__(self) -> str:
-        if not self.components:
+        if not self.terms:
             return "0"
         return " ; ".join(
             f"[{','.join(map(str, w))}] {f}" for w, f in sorted(self.components.items())
         )
-
-    __repr__ = __str__
 
 
 # ---------------------------------------------------------------------------
@@ -344,8 +331,8 @@ class KLROperator:
     Terms are (coefficient, atoms) with atoms written left to right in
     operator order: the rightmost atom acts first.  Elements are never
     normal-formed; equality questions go through the action.  `apply`
-    flattens its input once to {(word, exponents): coefficient} and folds
-    each term's atoms through that map; the generator constructors refuse
+    folds each term's atoms through the input's flat map {(word,
+    exponents): coefficient}; the generator constructors refuse
     indices and words outside the algebra on n strands.
     """
 
@@ -431,20 +418,16 @@ class KLROperator:
     def apply(self, m: LabeledPoly) -> LabeledPoly:
         if m.n != self.n:
             raise ValueError(f"a polynomial in {m.n} variables on {self.n} strands")
-        flat = {(w, e): c for w, f in m.components.items() for e, c in f.terms.items()}
         total: dict = {}
         for c, atoms in self.terms:
-            cur = flat
+            cur = m.terms
             for atom in reversed(atoms):
                 if not cur:
                     break
                 cur = _act(self.Q, atom, cur)
             for key, v in cur.items():
                 total[key] = total.get(key, 0) + c * v
-        by_word: dict = {}
-        for (w, e), v in total.items():
-            by_word.setdefault(w, {})[e] = v
-        return LabeledPoly(self.n, {w: Poly(self.n, t) for w, t in by_word.items()})
+        return LabeledPoly._flat(self.n, total)
 
     def __str__(self) -> str:
         if not self.terms:
@@ -759,22 +742,15 @@ def inversions(w: tuple[int, ...]) -> int:
     return sum(1 for k in range(n) for l in range(k + 1, n) if w[k] > w[l])
 
 
-class SmashElement:
-    """Element of S # Q[S_n]: finite map permutation -> polynomial."""
+class SmashElement(_Sparse):
+    """Element of S # Q[S_n], stored flat as {(permutation, exponents):
+    coefficient}: the term x^e . w.  The constructor takes {permutation:
+    Poly}."""
 
-    __slots__ = ("n", "terms")
+    __slots__ = ()
 
-    def __init__(self, n: int, terms=None):
-        self.n = n
-        self.terms = {}
-        if terms:
-            for w, f in terms.items():
-                if not f.is_zero():
-                    self.terms[w] = f
-
-    @staticmethod
-    def zero(n: int) -> "SmashElement":
-        return SmashElement(n)
+    def __init__(self, n: int, components=None):
+        super().__init__(n, _flatten(components))
 
     @staticmethod
     def unit(n: int) -> "SmashElement":
@@ -796,65 +772,38 @@ class SmashElement:
     def from_poly(f: Poly) -> "SmashElement":
         return SmashElement(f.n, {identity_perm(f.n): f})
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, SmashElement)
-            and self.n == other.n
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.n, frozenset(self.terms.items())))
-
-    def add(self, other: "SmashElement") -> "SmashElement":
-        out = dict(self.terms)
-        for w, f in other.terms.items():
-            out[w] = out[w].add(f) if w in out else f
-        return SmashElement(self.n, out)
-
-    def sub(self, other: "SmashElement") -> "SmashElement":
-        return self.add(other.scale(-1))
-
-    def scale(self, factor) -> "SmashElement":
-        return SmashElement(self.n, {w: f.scale(factor) for w, f in self.terms.items()})
-
     def degrees(self) -> set[int]:
-        out: set[int] = set()
-        for f in self.terms.values():
-            out.update(f.total_degrees())
-        return out
+        return {sum(e) for _, e in self.terms}
 
     def homogeneous_part(self, deg: int) -> "SmashElement":
-        return SmashElement(
-            self.n, {w: f.homogeneous_part(deg) for w, f in self.terms.items()}
-        )
+        return self._flat(self.n, {k: c for k, c in self.terms.items() if sum(k[1]) == deg})
 
     def __str__(self) -> str:
         if not self.terms:
             return "0"
         chunks = []
-        for w, f in sorted(self.terms.items()):
+        for w, f in sorted(_by_label(self.n, self.terms).items()):
             word = perm_to_word(w)
             wname = "*".join(f"s{r}" for r in word) if word else "e"
             chunks.append(f"({f})*{wname}")
         return " + ".join(chunks)
 
-    __repr__ = __str__
-
 
 def smash_mul(a: SmashElement, b: SmashElement) -> SmashElement:
-    """(f.w)(g.v) = f w(g) . wv, extended bilinearly."""
+    """(f.w)(g.v) = f w(g) . wv, extended bilinearly; on monomials
+    (x^e1 . w)(x^e2 . v) = x^(e1 + w.e2) . wv, where w moves exponent k of
+    e2 to position w[k]."""
     if a.n != b.n:
         raise ValueError("size mismatch")
-    out = SmashElement.zero(a.n)
-    for w, f in a.terms.items():
-        for v, g in b.terms.items():
-            term = SmashElement(a.n, {perm_compose(w, v): f.mul(g.permute(w))})
-            out = out.add(term)
-    return out
+    out: dict = {}
+    for (w, e1), c1 in a.terms.items():
+        for (v, e2), c2 in b.terms.items():
+            e = list(e1)
+            for k, p in enumerate(e2):
+                e[w[k]] += p
+            key = (perm_compose(w, v), tuple(e))
+            out[key] = out.get(key, 0) + c1 * c2
+    return SmashElement._flat(a.n, out)
 
 
 def monomials_of_degree(n: int, deg: int) -> list[tuple[int, ...]]:

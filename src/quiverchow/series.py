@@ -22,7 +22,7 @@ INF = float("inf")
 
 
 def _norm_coeff(c):
-    if isinstance(c, Fraction) and c.denominator == 1:
+    if type(c) is Fraction and c.denominator == 1:
         return int(c)
     return c
 

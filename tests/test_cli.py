@@ -386,3 +386,17 @@ def test_module_runs_without_install():
         capture_output=True, text=True, timeout=120, env=env)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["count"] == 5
+
+
+def test_demos_run():
+    src = os.path.dirname(os.path.dirname(quiverchow.__file__))
+    demos = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "demos")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    names = sorted(f for f in os.listdir(demos) if f.endswith(".py"))
+    assert names == ["complexes.py", "graded_dimensions.py", "klr_action.py",
+                     "orbits_and_pavings.py"]
+    for name in names:
+        proc = subprocess.run([sys.executable, os.path.join(demos, name)],
+                              capture_output=True, text=True, timeout=120, env=env)
+        assert proc.returncode == 0, (name, proc.stderr)

@@ -32,6 +32,7 @@ from quiverchow.klrpoly import (
     content_words,
     inversions,
     monomials_of_degree,
+    perm_compose,
     perm_to_word,
     relation_suite,
     smash_center_dims,
@@ -343,6 +344,81 @@ def test_smash_product_associative():
     for _ in range(8):
         a, b, c = rand_smash(3), rand_smash(3), rand_smash(3)
         assert smash_mul(smash_mul(a, b), c) == smash_mul(a, smash_mul(b, c))
+
+
+def reference_smash_mul(n: int, a: dict, b: dict) -> SmashElement:
+    """(f.w)(g.v) = f w(g) . wv from Poly primitives, on {perm: Poly} maps."""
+    out: dict = {}
+    for w, f in a.items():
+        for v, g in b.items():
+            wv = perm_compose(w, v)
+            out[wv] = out.get(wv, Poly.zero(n)).add(f.mul(g.permute(w)))
+    return SmashElement(n, out)
+
+
+def test_smash_mul_matches_poly_reference():
+    rng = random.Random(29)
+    coeffs = [-2, -1, 1, 3, Fraction(1, 2), Fraction(-2, 3)]
+
+    def rand_parts(n: int) -> dict:
+        perms = list(permutations(range(n)))
+        parts = {}
+        for w in rng.sample(perms, rng.randint(1, min(3, len(perms)))):
+            f = Poly.zero(n)
+            for _ in range(rng.randint(1, 3)):
+                exps = tuple(rng.randint(0, 2) for _ in range(n))
+                f = f.add(Poly.monomial(n, exps, rng.choice(coeffs)))
+            parts[w] = f
+        return parts
+
+    cases = []
+    for n in (2, 3):
+        cases += [(n, rand_parts(n), rand_parts(n)) for _ in range(40)]
+        # (f.e - f.s1)(g.e + g.s1) = 0 for g symmetric in x1, x2
+        e, s1 = tuple(range(n)), (1, 0) + tuple(range(2, n))
+        g = Poly.x(n, 1).add(Poly.x(n, 2)).scale(Fraction(3, 2))
+        for _ in range(5):
+            f = next(iter(rand_parts(n).values()))
+            cases.append((n, {e: f, s1: f.neg()}, {e: g, s1: g}))
+    zeros = 0
+    for n, a, b in cases:
+        got = smash_mul(SmashElement(n, a), SmashElement(n, b))
+        assert got == reference_smash_mul(n, a, b), (a, b)
+        zeros += got.is_zero()
+    assert zeros >= 10
+
+
+def test_labeled_and_smash_rendering():
+    m = LabeledPoly(3, {
+        (1, 0, 0): Poly(3, {(1, 0, 0): -1, (0, 0, 2): Fraction(1, 2)}),
+        (0, 0, 1): Poly(3, {(0, 0, 0): 3, (0, 1, 1): Fraction(-2, 3)}),
+        (0, 1, 0): Poly(3, {(2, 1, 0): 1, (0, 0, 1): -1, (1, 0, 0): Fraction(4, 2)}),
+    })
+    assert str(m) == (
+        "[0,0,1] 3 - 2/3*x2*x3 ; [0,1,0] -x3 + 2*x1 + x1^2*x2 ; [1,0,0] 1/2*x3^2 - x1"
+    )
+    s = SmashElement(3, {
+        (0, 1, 2): Poly(3, {(0, 0, 0): -2, (1, 0, 0): 1}),
+        (1, 0, 2): Poly(3, {(0, 2, 0): Fraction(1, 3)}),
+        (2, 0, 1): Poly(3, {(0, 0, 1): -1, (1, 1, 0): 5}),
+        (2, 1, 0): Poly(3, {(0, 0, 0): 1}),
+    })
+    assert str(s) == "(-2 + x1)*e + (1/3*x2^2)*s1 + (-x3 + 5*x1*x2)*s2*s1 + (1)*s1*s2*s1"
+    for cls in (Poly, LabeledPoly, SmashElement):
+        assert str(cls.zero(3)) == "0"
+
+
+def test_labeled_components_view_round_trips():
+    rng = random.Random(31)
+    words = content_words(A2, DimVector((2, 1)))
+    for _ in range(30):
+        first = {w: rand_poly(rng, 3) for w in rng.sample(words, 2)}
+        second = {w: f if rng.random() < 0.5 else rand_poly(rng, 3) for w, f in first.items()}
+        m = LabeledPoly(3, first).sub(LabeledPoly(3, second))
+        assert LabeledPoly(3, m.components) == m
+        assert all(not f.is_zero() for f in m.components.values())
+        for w in first:
+            assert (w in m.components) == (first[w] != second[w])
 
 
 def test_smash_center_dims_match_partition_counts():
