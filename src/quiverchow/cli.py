@@ -58,7 +58,7 @@ from .quiver import (
     parse_quiver,
     parse_word,
 )
-from .series import DEFAULT_TRUNC, HalfLaurentSeries
+from .series import DEFAULT_TRUNC, HalfLaurentSeries, bgl, first_discrepancy
 
 INF = float("inf")
 
@@ -573,8 +573,6 @@ def klr_match_cases(trunc: int = DEFAULT_TRUNC):
                     1 for k in range(n) for l in range(k + 1, n) if w[k] > w[l]
                 )
                 coeffs[-2 * inv] = coeffs.get(-2 * inv, 0) + 1
-            from .series import bgl
-
             m0 = min(coeffs)
             want = (
                 HalfLaurentSeries.from_map(coeffs)
@@ -610,20 +608,16 @@ def klr_match_cases(trunc: int = DEFAULT_TRUNC):
                             geo_cache[(i, j)] = rep.geometric
                     for i in words:
                         for j in words:
-                            a = geo_cache[(i, j)]
-                            b = geo_cache[(j, i)]
                             di = dim_qvariety(Q, Composition.from_word(i, Q.n))
                             dj = dim_qvariety(Q, Composition.from_word(j, Q.n))
-                            for m in range(-trunc, trunc // 2):
-                                lhs = a.coefficient(2 * m)
-                                rhs_exp = 2 * (m + di - dj)
-                                if rhs_exp > b.trunc or 2 * m > a.trunc:
-                                    continue
-                                if lhs != b.coefficient(rhs_exp):
-                                    return False, (
-                                        f"transpose symmetry fails at "
-                                        f"({i},{j}), u^{2 * m}"
-                                    )
+                            shifted = geo_cache[(j, i)].mul(
+                                HalfLaurentSeries.monomial(2 * (dj - di))
+                            )
+                            gap = first_discrepancy(geo_cache[(i, j)], shifted)
+                            if gap is not None:
+                                return False, (
+                                    f"transpose symmetry fails at ({i},{j}), u^{gap}"
+                                )
                     return True, f"{len(words) ** 2} blocks match; symmetry holds"
 
                 cases.append((f"{qspec} {d}", check))
@@ -631,7 +625,9 @@ def klr_match_cases(trunc: int = DEFAULT_TRUNC):
 
 
 def relations_cases(max_total: int = 4, trials: int = 100, seed: int = 0):
-    """One case per (quiver, d) with 1 <= total(d) <= max_total."""
+    """One case per (quiver, d) with 1 <= total(d) <= max_total: every
+    relation family, degree homogeneity among them, ran `trials` seeded
+    trials without a failure."""
     cases = []
     for qspec in SUITE_QUIVERS:
         Q = parse_quiver(qspec)
@@ -639,6 +635,11 @@ def relations_cases(max_total: int = 4, trials: int = 100, seed: int = 0):
             for d in _dim_vectors(Q.n, total):
                 def check(Q=Q, d=d):
                     report = relation_suite(Q, d, trials=trials, seed=seed)
+                    short = next((v for v in report.verdicts if v.trials != trials), None)
+                    if short is not None:
+                        return False, f"{short.name}: ran {short.trials} of {trials} trials"
+                    if all(v.name != "degree-homogeneity" for v in report.verdicts):
+                        return False, "no degree-homogeneity verdict"
                     if report.ok:
                         names = len(report.verdicts)
                         return True, f"{names} relation families, {trials} trials each"
@@ -648,10 +649,11 @@ def relations_cases(max_total: int = 4, trials: int = 100, seed: int = 0):
     return cases
 
 
-def homotopy_cases(count: int = 200, seed: int = 0):
+def homotopy_cases(count: int = 200, seed: int | str = 0):
     """One case per algebra handle: a corpus of randomized valid complexes
     where cone(id) minimizes to zero, euler_symbol is invariant under
-    minimize, minimize is idempotent, and weight truncation reassembles."""
+    minimize, minimize is idempotent, and weight truncation reassembles.
+    Trial t of a handle draws from `random.Random(f"{seed}:{handle}:{t}")`."""
     cases = []
     for spec in HOMOTOPY_HANDLES:
         def check(spec=spec):
@@ -701,6 +703,8 @@ def run_suite(
         cases = homotopy_cases(count, seed)
     else:
         raise ValueError(f"unknown suite {name!r}")
+    if not cases:
+        raise ValueError(f"suite {name} has no case for these flags")
 
     def run_case(item):
         case_id, fn = item

@@ -181,9 +181,6 @@ class Poly(_Sparse):
                 out[key] = out.get(key, 0) + sign * c
         return Poly(self.n, out)
 
-    def homogeneous_part(self, deg: int) -> "Poly":
-        return Poly(self.n, {e: c for e, c in self.terms.items() if sum(e) == deg})
-
     def __str__(self) -> str:
         if not self.terms:
             return "0"
@@ -774,9 +771,6 @@ class SmashElement(_Sparse):
 
     def degrees(self) -> set[int]:
         return {sum(e) for _, e in self.terms}
-
-    def homogeneous_part(self, deg: int) -> "SmashElement":
-        return self._flat(self.n, {k: c for k, c in self.terms.items() if sum(k[1]) == deg})
 
     def __str__(self) -> str:
         if not self.terms:

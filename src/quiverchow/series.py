@@ -151,9 +151,6 @@ class HalfLaurentSeries:
 
     # -- comparison and rendering ------------------------------------------
 
-    def agrees_with(self, other: "HalfLaurentSeries") -> bool:
-        return first_discrepancy(self, other) is None
-
     def __str__(self) -> str:
         if not self.coeffs:
             body = "0"

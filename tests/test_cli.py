@@ -18,6 +18,7 @@ import time
 import pytest
 
 import quiverchow
+from quiverchow import cli
 from quiverchow.cli import main
 
 
@@ -285,7 +286,8 @@ def test_out_of_range_flags_are_usage_errors(capsys, argv):
     ["klr-selftest", "--quiver", "A2", "--dim", "0,0"],
     ["gdim", "--quiver", "cyclic:1", "--dim", "2", "--mode", "compare",
      "--word-i", "0,0", "--word-j", "0,0"],
-], ids=["selftest-empty-dim", "compare-loop"])
+    ["suite", "relations", "--max-total", "0"],
+], ids=["selftest-empty-dim", "compare-loop", "suite-no-cases"])
 def test_out_of_domain_inputs_are_refused(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
@@ -331,6 +333,27 @@ def test_suite_relations_small_run(capsys):
     assert doc["schema"] == "suite/1"
     assert doc["ok"] is True
     assert doc["cases"] and all(case["ok"] for case in doc["cases"])
+
+
+def test_suite_reports_a_failing_case(capsys, monkeypatch):
+    # run_suite looks the factory up in cli's globals at call time
+    def cases(max_total, trials, seed):
+        return [("good", lambda: (True, "fine")),
+                ("bad", lambda: (False, "x-commute: 1 failures; trial 0"))]
+    monkeypatch.setattr(cli, "relations_cases", cases)
+    code, out = run_cli(capsys, "suite", "relations")
+    assert code == 2
+    doc = json.loads(out)
+    assert doc["ok"] is False
+    assert doc["cases"][1] == {"case": "bad", "ok": False,
+                               "detail": "x-commute: 1 failures; trial 0"}
+    code, out = run_cli(capsys, "suite", "relations", "--format", "table")
+    assert code == 2
+    assert out.splitlines() == [
+        "PASS good: fine",
+        "FAIL bad: x-commute: 1 failures; trial 0",
+        "suite relations: 1/2 passed",
+    ]
 
 
 def test_suite_rejects_unknown_name(capsys):
