@@ -50,9 +50,11 @@ from .quiver import (
     Composition,
     DimVector,
     Quiver,
+    count_compositions,
     dim_qvariety,
     enumerate_complete_comps,
     enumerate_compositions,
+    multinomial,
     parse_composition,
     parse_dimvector,
     parse_quiver,
@@ -61,6 +63,14 @@ from .quiver import (
 from .series import DEFAULT_TRUNC, HalfLaurentSeries, bgl, first_discrepancy
 
 INF = float("inf")
+
+# --trunc above this is refused: a truncated product is held as one dense
+# list over the exponents up to --trunc.
+MAX_TRUNC = 1000
+
+# gdim-table computes one gdim_geo per block, the square of the number of
+# compositions; a larger table is refused before any composition is built.
+MAX_TABLE_BLOCKS = 10_000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -93,8 +103,8 @@ def _dumps(doc: dict) -> str:
 # flag plumbing
 
 
-def _int_at_least(low: int):
-    """argparse type: an integer >= low."""
+def _int_at_least(low: int, high: int | None = None):
+    """argparse type: an integer >= low, and <= high when given."""
     def parse(text: str) -> int:
         try:
             value = int(text)
@@ -102,13 +112,16 @@ def _int_at_least(low: int):
             raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
         if value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"must be at most {high}, got {value}")
         return value
     return parse
 
 
 def _shared_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--trunc", type=_int_at_least(0), default=DEFAULT_TRUNC,
-                   help="series truncation exponent in u (default 24)")
+    p.add_argument("--trunc", type=_int_at_least(0, MAX_TRUNC), default=DEFAULT_TRUNC,
+                   help=f"series truncation exponent in u (default 24, "
+                        f"at most {MAX_TRUNC})")
     p.add_argument("--format", choices=("json", "table"), default="json")
     p.add_argument("--threads", type=_int_at_least(1), default=1,
                    help="worker pool size for independent cases")
@@ -329,6 +342,12 @@ def cmd_gdim_table(args) -> tuple[int, str]:
     Q = parse_quiver(args.quiver)
     d = parse_dimvector(args.dim)
     N = args.trunc
+    n_comps = count_compositions(d) if args.all_comps else multinomial(d)
+    if n_comps**2 > MAX_TABLE_BLOCKS:
+        raise ValueError(
+            f"gdim-table would compute {n_comps**2} blocks ({n_comps} compositions "
+            f"squared), above the bound of {MAX_TABLE_BLOCKS}"
+        )
     if args.all_comps:
         comps = enumerate_compositions(d)
     else:
@@ -591,37 +610,40 @@ def klr_match_cases(trunc: int = DEFAULT_TRUNC):
         Q = parse_quiver(qspec)
         for total in range(1, 4):
             for d in _dim_vectors(Q.n, total):
-                words = [c.word() for c in enumerate_complete_comps(Q, d)]
-                if not words:
-                    continue
-
-                def check(Q=Q, d=d, words=words):
-                    geo_cache = {}
-                    for i in words:
-                        for j in words:
-                            rep = compare_block(Q, d, i, j, trunc)
-                            if not rep.normalized_match:
-                                return False, (
-                                    f"block ({i},{j}) mismatch at "
-                                    f"u^{rep.first_discrepancy}"
-                                )
-                            geo_cache[(i, j)] = rep.geometric
-                    for i in words:
-                        for j in words:
-                            di = dim_qvariety(Q, Composition.from_word(i, Q.n))
-                            dj = dim_qvariety(Q, Composition.from_word(j, Q.n))
-                            shifted = geo_cache[(j, i)].mul(
-                                HalfLaurentSeries.monomial(2 * (dj - di))
-                            )
-                            gap = first_discrepancy(geo_cache[(i, j)], shifted)
-                            if gap is not None:
-                                return False, (
-                                    f"transpose symmetry fails at ({i},{j}), u^{gap}"
-                                )
-                    return True, f"{len(words) ** 2} blocks match; symmetry holds"
-
-                cases.append((f"{qspec} {d}", check))
+                cases.append((f"{qspec} {d}", klr_block_check(Q, d, trunc)))
     return cases
+
+
+def klr_block_check(Q: Quiver, d: DimVector, trunc: int):
+    """A case over every complete block of (Q, d): each matches after the
+    normalization shift, and the transpose symmetry holds, to u^trunc."""
+    words = [c.word() for c in enumerate_complete_comps(Q, d)]
+
+    def check():
+        geo_cache = {}
+        for i in words:
+            for j in words:
+                rep = compare_block(Q, d, i, j, trunc)
+                if not rep.normalized_match:
+                    return False, (
+                        f"block ({i},{j}) mismatch at "
+                        f"u^{rep.first_discrepancy}"
+                    )
+                geo_cache[(i, j)] = rep.geometric
+        dims = {w: dim_qvariety(Q, Composition.from_word(w, Q.n)) for w in words}
+        for i in words:
+            for j in words:
+                shifted = geo_cache[(j, i)].mul(
+                    HalfLaurentSeries.monomial(2 * (dims[j] - dims[i]))
+                )
+                gap = first_discrepancy(geo_cache[(i, j)], shifted)
+                if gap is not None:
+                    return False, (
+                        f"transpose symmetry fails at ({i},{j}), u^{gap}"
+                    )
+        return True, f"{len(words) ** 2} blocks match; symmetry holds"
+
+    return check
 
 
 def relations_cases(max_total: int = 4, trials: int = 100, seed: int = 0):

@@ -12,6 +12,11 @@ algebra read off from its permutation basis: one monomial $u^{\\deg_w(i)}$
 for every $w$ carrying the word $i$ to $j$, times $(1-u^2)^{-n}$ for the
 polynomial part.  The two sides agree after a single normalization shift
 $u^{d_j - d_i}$; `compare_block` certifies that identity coefficientwise.
+
+Both sides are an integer Laurent polynomial times a product of
+$\\mathrm{bgl}$ factors, and both form it with the one kernel
+`series.times_bgl`: division by each $1 - u^{2k}$ as a running sum over one
+dense list of exact integers, to $u^N$ and no further.  Nothing is cached.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from .quiver import (
     dim_qvariety,
     enumerate_compositions,
 )
-from .series import DEFAULT_TRUNC, HalfLaurentSeries, bgl, first_discrepancy
+from .series import DEFAULT_TRUNC, HalfLaurentSeries, bgl, first_discrepancy, times_bgl
 
 
 @dataclass(frozen=True)
@@ -76,13 +81,15 @@ def gdim_geo(
 
     Every stratum M contributes u^{2(d_j - orbit_dim(M))} times the product
     of the two cell count polynomials, sum of m u^{-2c} over the (c, m)
-    counts of each paving, times the automorphism-group series of M; the
-    exponent grid is even.
+    counts of each paving, times the automorphism-group series of M, the
+    product of bgl(m) over `aut_series_exponents(M)`.  Each product is
+    formed exactly to u^N by `times_bgl` on integer coefficients, and the
+    strata are summed into one map; the exponent grid is even.
     """
     _check_comp(d, i, Q.n)
     _check_comp(d, j, Q.n)
     dj = dim_qvariety(Q, j)
-    total = HalfLaurentSeries.zero()
+    total: dict[int, int] = {}
     for M in enumerate_nilreps(Q, d):
         cells_i = paving_cells(Q, M, i)
         cells_j = paving_cells(Q, M, j)
@@ -94,15 +101,9 @@ def gdim_geo(
             for c2, m2 in cells_j.counts:
                 e = 2 * (dj - shift - c1 - c2)
                 coeffs[e] = coeffs.get(e, 0) + m1 * m2
-        cell_poly = HalfLaurentSeries.from_map(coeffs)
-        m0 = min(coeffs)
-        aut = HalfLaurentSeries.one()
-        for m in aut_series_exponents(M):
-            aut = aut.mul(bgl(m, N - m0))
-        if not aut_series_exponents(M):
-            aut = aut.truncate(N - m0)
-        total = total.add(cell_poly.mul(aut))
-    return total.truncate(N)
+        for e, c in times_bgl(coeffs, aut_series_exponents(M), N).items():
+            total[e] = total.get(e, 0) + c
+    return HalfLaurentSeries.from_map(total, N)
 
 
 def _word_permutations(i: tuple[int, ...], j: tuple[int, ...]):
@@ -132,7 +133,8 @@ def gdim_alg_klr(
 ) -> HalfLaurentSeries:
     """Permutation-basis graded dimension of the (i, j) block: one term
     u^{deg_w(i)} per permutation w with w.i = j, with deg_w summing
-    -cartan(i_k, i_l) over inversions, all times (1 - u^2)^{-n}."""
+    -cartan(i_k, i_l) over inversions, all times (1 - u^2)^{-n}, formed
+    exactly to u^N by `times_bgl` with n factors bgl(1)."""
     i = tuple(i)
     j = tuple(j)
     n = d.total
@@ -141,18 +143,18 @@ def gdim_alg_klr(
     content = [v for v in Q.vertices for _ in range(d[v])]
     if sorted(i) != content or sorted(j) != content:
         raise ValueError(f"words {i} and {j} must both have content {tuple(d)}")
+    cost = [[-cartan(Q, a, b) for b in i] for a in i]
     coeffs: dict[int, int] = {}
     for w in _word_permutations(i, j):
         deg = 0
         for k in range(n):
+            wk = w[k]
+            row = cost[k]
             for l in range(k + 1, n):
-                if w[k] > w[l]:
-                    deg += -cartan(Q, i[k], i[l])
+                if wk > w[l]:
+                    deg += row[l]
         coeffs[deg] = coeffs.get(deg, 0) + 1
-    m0 = min(coeffs)
-    perm_poly = HalfLaurentSeries.from_map(coeffs)
-    poly_part = bgl(1, N - m0).pow(n) if n else HalfLaurentSeries.one().truncate(N - m0)
-    return perm_poly.mul(poly_part).truncate(N)
+    return HalfLaurentSeries.from_map(times_bgl(coeffs, [1] * n, N), N)
 
 
 def compare_block(
@@ -172,10 +174,10 @@ def compare_block(
     ci = Composition.from_word(i, Q.n)
     cj = Composition.from_word(j, Q.n)
     geo = gdim_geo(Q, d, ci, cj, N)
-    alg = gdim_alg_klr(Q, d, i, j, N)
     shift = dim_qvariety(Q, cj) - dim_qvariety(Q, ci)
-    alg_for_match = gdim_alg_klr(Q, d, i, j, N - shift)
-    shifted = alg_for_match.mul(HalfLaurentSeries.monomial(shift)).truncate(N)
+    alg_wide = gdim_alg_klr(Q, d, i, j, max(N, N - shift))
+    alg = alg_wide.truncate(N)
+    shifted = alg_wide.mul(HalfLaurentSeries.monomial(shift)).truncate(N)
     gap = first_discrepancy(geo, shifted)
     return GdimReport(geo, alg, gap is None, gap)
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from math import factorial
+from math import comb, factorial
 
 
 @dataclass(frozen=True)
@@ -225,6 +225,25 @@ def enumerate_compositions(d: DimVector) -> list[Composition]:
                 yield (first,) + rest
 
     return [Composition(parts) for parts in sorted(rec(d))]
+
+
+def count_compositions(d: DimVector) -> int:
+    """The number of compositions of d, len(enumerate_compositions(d)),
+    counted without building them.  Ordered k-tuples of vectors in N^n
+    with sum d, zero vectors allowed, number prod_v C(d_v + k - 1, k - 1);
+    inclusion-exclusion over the zero entries leaves the tuples of k
+    nonzero parts.  A composition has at most total(d) parts; the zero
+    vector has one, the empty composition."""
+    if d.is_zero():
+        return 1
+    total = 0
+    for k in range(1, d.total + 1):
+        for j in range(k):
+            ways = 1
+            for e in d:
+                ways *= comb(e + k - j - 1, k - j - 1)
+            total += (-1) ** j * comb(k, j) * ways
+    return total
 
 
 def dim_flag(comp: Composition) -> int:

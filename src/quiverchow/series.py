@@ -8,6 +8,8 @@ every exponent up to and including `trunc`.  Polynomials and monomials are
 exact everywhere and carry an infinite truncation; finite orders enter
 through inversion and propagate through arithmetic as the minimum of the
 operands' orders shifted by the other factor's lowest exponent.
+`times_bgl` forms an integer polynomial times bgl factors without building
+series: a running sum per factor over one dense list, exact to a given u^N.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 DEFAULT_TRUNC = 24
 
@@ -192,3 +195,31 @@ def bgl(m: int, trunc=DEFAULT_TRUNC) -> HalfLaurentSeries:
         factor = HalfLaurentSeries.one().sub(HalfLaurentSeries.monomial(2 * k))
         out = out.mul(factor.invert_unit(trunc))
     return out.truncate(trunc)
+
+
+def times_bgl(coeffs: dict[int, int], ms, N: int) -> dict[int, int]:
+    """Exact coefficients up to u^N of the Laurent polynomial `coeffs`
+    (integer coefficients) times the product of bgl(m) over m in `ms`.
+
+    The polynomial is loaded into one dense list over the exponents
+    m0..N, m0 its lowest exponent; dividing by each factor 1 - u^{2k},
+    k = 1..m, is the running sum a[x] += a[x - 2k] taken upward, done on
+    every residue class of the index mod 2k.  Terms above u^N never reach
+    a lower exponent, so they are dropped on loading; m0 > N leaves
+    nothing.
+    """
+    if not coeffs:
+        return {}
+    m0 = min(coeffs)
+    if m0 > N:
+        return {}
+    a = [0] * (N - m0 + 1)
+    for e, c in coeffs.items():
+        if e <= N:
+            a[e - m0] += c
+    for m in ms:
+        for k in range(1, m + 1):
+            step = 2 * k
+            for r in range(min(step, len(a))):
+                a[r::step] = accumulate(a[r::step])
+    return {m0 + x: c for x, c in enumerate(a) if c}

@@ -10,8 +10,9 @@ against Gaussian-elimination minimization.
 The four standing sweeps run the very cases that `quiverchow suite`
 runs: each test takes the case list from the suite's factory in
 `quiverchow.cli`, pins its length so a sweep cannot shrink unnoticed,
-runs every case and asserts a wall-clock budget.  Only the total-5
-paving sweep, which no suite covers, keeps its own loop.
+runs every case and asserts a wall-clock budget.  Two sweeps no suite
+covers are test-only: the total-5 paving sweep, with its own loop, and
+every complete block of A3 (2,2,2), through the klr-match case builder.
 
 Run with -s to see the verdict lines; each test prints exactly one.
 """
@@ -28,12 +29,15 @@ from quiverchow.paving import count_points, poincare
 from quiverchow.quiver import DimVector, enumerate_compositions, parse_quiver
 
 
-def _run_sweep(name: str, cases, budget: float) -> None:
-    """Run every (case_id, fn) pair; fail naming each failing case."""
+def _run_sweep(name: str, cases, budget: float) -> list[str]:
+    """Run every (case_id, fn) pair; fail naming each failing case.
+    Returns the detail of every case, in order."""
     t0 = time.monotonic()
     failed = []
+    details = []
     for case_id, fn in cases:
         ok, detail = fn()
+        details.append(detail)
         if not ok:
             failed.append(f"{case_id}: {detail}")
     elapsed = time.monotonic() - t0
@@ -41,6 +45,7 @@ def _run_sweep(name: str, cases, budget: float) -> None:
                         + "\n".join(failed))
     assert elapsed < budget, f"{name} took {elapsed:.1f}s, budget {budget:.0f}s"
     print(f"PASS {name}: {len(cases)} cases in {elapsed:.1f}s")
+    return details
 
 
 def test_paving_agrees_with_point_counts_everywhere():
@@ -81,6 +86,16 @@ def test_geometric_blocks_match_klr_blocks():
     cases = cli.klr_match_cases(24)
     assert len(cases) == 59
     _run_sweep("geometric equals shifted algebraic", cases, 120.0)
+
+
+def test_geometric_blocks_match_klr_blocks_on_a3_222():
+    # every complete block of A3 (2,2,2), 90 words and 8,100 blocks, under
+    # the same checks as a klr-match case; test-only, so the suite's bytes
+    # stay as they are
+    check = cli.klr_block_check(parse_quiver("A3"), DimVector((2, 2, 2)), 24)
+    details = _run_sweep("A3 (2,2,2) geometric equals shifted algebraic",
+                         [("A3 (2,2,2)", check)], 120.0)
+    assert details == ["8100 blocks match; symmetry holds"]
 
 
 def test_klr_relations_randomized_sweep():

@@ -20,6 +20,7 @@ import pytest
 import quiverchow
 from quiverchow import cli
 from quiverchow.cli import main
+from quiverchow.quiver import DimVector, count_compositions, multinomial
 
 
 def run_cli(capsys, *argv: str) -> tuple[int, str]:
@@ -272,8 +273,10 @@ def test_complex_validate_fuzz_never_crashes(capsys, tmp_path):
     ["suite", "paving-oracle", "--max-total", "-1"],
     ["suite", "relations", "--threads", "-3"],
     ["gdim-table", "--quiver", "A2", "--dim", "1,1", "--threads", "0"],
+    ["gdim", "--quiver", "A2", "--dim", "1,1", "--mode", "compare",
+     "--word-i", "0,1", "--word-j", "1,0", "--trunc", "1000000000"],
 ], ids=["trials", "selftest-trials", "count", "trunc", "max-total", "threads",
-        "threads-zero"])
+        "threads-zero", "trunc-huge"])
 def test_out_of_range_flags_are_usage_errors(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
@@ -295,6 +298,25 @@ def test_out_of_domain_inputs_are_refused(capsys, argv):
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert captured.err.count("\n") == 1
+
+
+def test_gdim_table_refuses_too_many_blocks_before_any_work(capsys):
+    # A3 (3,3,3) has 64,324 compositions (about 4.1e9 blocks) and 1,680
+    # words; both are counted, not enumerated, and refused at once
+    t0 = time.monotonic()
+    for extra, blocks in ((["--all-comps"], 64324**2), ([], 1680**2)):
+        code = main(["gdim-table", "--quiver", "A3", "--dim", "3,3,3"] + extra)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+        assert str(blocks) in captured.err
+        assert str(cli.MAX_TABLE_BLOCKS) in captured.err
+    assert time.monotonic() - t0 < 1.0
+    # the largest tables in use stay allowed: 1,936 and 8,100 blocks
+    assert count_compositions(DimVector((1, 2, 1))) ** 2 <= cli.MAX_TABLE_BLOCKS
+    assert multinomial(DimVector((2, 2, 2))) ** 2 <= cli.MAX_TABLE_BLOCKS
 
 
 def test_complex_truncate_emits_triangle(capsys, tmp_path):

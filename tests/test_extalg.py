@@ -29,11 +29,15 @@ from quiverchow.extalg import (
     gdim_schur_table,
     springer_smash_gdim,
 )
+from quiverchow.nilrep import aut_series_exponents, enumerate_nilreps, orbit_dim
+from quiverchow.paving import paving_cells
 from quiverchow.quiver import (
     Composition,
     DimVector,
+    cartan,
     dim_qvariety,
     enumerate_complete_comps,
+    enumerate_compositions,
     parse_composition,
     parse_quiver,
 )
@@ -170,3 +174,69 @@ def test_report_is_frozen_record():
     assert isinstance(rep, GdimReport)
     with pytest.raises(AttributeError):
         rep.normalized_match = False  # type: ignore[misc]
+
+
+def _geo_by_series_mul(Q, d, ci, cj, N):
+    """gdim_geo by truncated series products: per stratum, the exact cell
+    polynomial times the product of bgl(m, N - m0) series, summed."""
+    dj = dim_qvariety(Q, cj)
+    total = HalfLaurentSeries.zero()
+    for M in enumerate_nilreps(Q, d):
+        cells_i = paving_cells(Q, M, ci)
+        cells_j = paving_cells(Q, M, cj)
+        if cells_i.is_empty_variety() or cells_j.is_empty_variety():
+            continue
+        coeffs: dict[int, int] = {}
+        for c1, m1 in cells_i.counts:
+            for c2, m2 in cells_j.counts:
+                e = 2 * (dj - orbit_dim(Q, M) - c1 - c2)
+                coeffs[e] = coeffs.get(e, 0) + m1 * m2
+        m0 = min(coeffs)
+        aut = HalfLaurentSeries.one().truncate(N - m0)
+        for m in aut_series_exponents(M):
+            aut = aut.mul(bgl(m, N - m0))
+        total = total.add(HalfLaurentSeries.from_map(coeffs).mul(aut))
+    return total.truncate(N)
+
+
+def _alg_by_series_mul(Q, i, j, N):
+    """gdim_alg_klr by series products: the permutation polynomial, with
+    cartan looked up per inversion, times bgl(1, N - m0)^n."""
+    n = len(i)
+    coeffs: dict[int, int] = {}
+    for w in permutations(range(n)):
+        if any(j[w[k]] != i[k] for k in range(n)):
+            continue
+        deg = sum(-cartan(Q, i[k], i[l])
+                  for k in range(n) for l in range(k + 1, n) if w[k] > w[l])
+        coeffs[deg] = coeffs.get(deg, 0) + 1
+    m0 = min(coeffs)
+    poly_part = bgl(1, N - m0).pow(n) if n else HalfLaurentSeries.one().truncate(N - m0)
+    return HalfLaurentSeries.from_map(coeffs).mul(poly_part).truncate(N)
+
+
+@pytest.mark.parametrize("spec,dims", [
+    ("A1", [(1,), (2,), (3,), (4,), (5,)]),
+    ("A2", [(1, 1), (2, 1)]),
+    ("A3", [(1, 2, 1)]),
+    ("cyclic:1", [(1,), (2,), (3,), (4,)]),
+    ("cyclic:2", [(2, 1)]),
+])
+def test_blocks_equal_series_multiplication_reference(spec, dims):
+    # every block over all compositions (geometric side) and every pair of
+    # words (algebraic side) equals the series-product formula, as values:
+    # the same coefficients and the same truncation order
+    Q = parse_quiver(spec)
+    for d in map(DimVector, dims):
+        comps = enumerate_compositions(d)
+        for N in (2, 24):
+            for ci in comps:
+                for cj in comps:
+                    got = gdim_geo(Q, d, ci, cj, N)
+                    assert got == _geo_by_series_mul(Q, d, ci, cj, N), (d, str(ci), str(cj), N)
+        words = [c.word() for c in enumerate_complete_comps(Q, d)]
+        for N in (-1, 2, 24):
+            for i in words:
+                for j in words:
+                    got = gdim_alg_klr(Q, d, i, j, N)
+                    assert got == _alg_by_series_mul(Q, i, j, N), (d, i, j, N)

@@ -19,6 +19,7 @@ from quiverchow.quiver import (
     DimVector,
     Quiver,
     cartan,
+    count_compositions,
     dim_flag,
     dim_qvariety,
     enumerate_complete_comps,
@@ -139,6 +140,15 @@ def test_enumerate_compositions_counts_by_refinement():
     # compositions of (n,) on one vertex are the 2^(n-1) integer compositions
     for n in range(1, 7):
         assert len(enumerate_compositions(DimVector((n,)))) == 2 ** (n - 1)
+
+
+def test_count_compositions_matches_enumeration():
+    for d in ((0, 0), (1,), (4,), (6,), (2, 2), (3, 1), (0, 2, 1), (1, 2, 1),
+              (2, 2, 2), (1, 1, 1, 1)):
+        dv = DimVector(d)
+        assert count_compositions(dv) == len(enumerate_compositions(dv)), d
+    # far past what enumeration reaches in a test
+    assert count_compositions(DimVector((3, 3, 3))) == 64324
 
 
 def test_dim_flag_sums_products_of_steps():

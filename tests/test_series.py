@@ -19,6 +19,7 @@ from quiverchow.series import (
     HalfLaurentSeries,
     bgl,
     first_discrepancy,
+    times_bgl,
 )
 
 
@@ -113,3 +114,49 @@ def test_zero_and_one_identities():
     assert first_discrepancy(s.mul(HalfLaurentSeries.one()), s) is None
     assert z.mul(s).is_zero()
     assert not s.is_zero()
+
+
+def _times_bgl_by_mul(coeffs, ms, N):
+    """The same product by series multiplication: the exact polynomial
+    times one bgl(m) series per m, each truncated where it still decides
+    the coefficients up to u^N."""
+    poly = HalfLaurentSeries.from_map(coeffs)
+    if poly.is_zero():
+        return {}
+    factors = HalfLaurentSeries.one().truncate(N - poly.min_exp)
+    for m in ms:
+        factors = factors.mul(bgl(m, N - poly.min_exp))
+    return poly.mul(factors).truncate(N).as_map()
+
+
+def test_times_bgl_matches_series_multiplication():
+    rng = random.Random(12)
+    ms_choices = ([], [1], [1] * 4, [3], [2, 1], [3, 2, 2, 1], [5])
+    checked = 0
+    for _ in range(60):
+        low = rng.randint(-9, 4)
+        coeffs = {e: rng.randint(-5, 5) for e in range(low, low + rng.randint(1, 9))}
+        coeffs[low] = rng.choice([-3, -1, 1, 2])
+        for ms in ms_choices:
+            for N in (0, low - 1, low, low + 1, 7, 20):
+                got = times_bgl(coeffs, ms, N)
+                assert got == _times_bgl_by_mul(coeffs, ms, N), (coeffs, ms, N)
+                assert all(e <= N and c for e, c in got.items())
+                checked += 1
+    assert checked == 60 * 7 * 6
+
+
+def test_times_bgl_edge_cases():
+    assert times_bgl({}, [1, 2], 10) == {}
+    # a zero entry below the lowest term changes nothing
+    assert times_bgl({-4: 0, 1: 1}, [1], 5) == {1: 1, 3: 1, 5: 1}
+    # lowest exponent above N: nothing is exact yet
+    assert times_bgl({3: 1, 5: 2}, [1], 2) == {}
+    # N = 0 keeps only the constant term and what lies below it
+    assert times_bgl({-2: 1, 0: 1, 2: 1}, [1], 0) == {-2: 1, 0: 2}
+    # no factor: the polynomial cut at N, cancelled terms dropped
+    assert times_bgl({-1: 4, 1: 0, 3: -2, 9: 1}, [], 5) == {-1: 4, 3: -2}
+    # odd exponents stay on their own residue class
+    assert times_bgl({1: 1}, [1], 7) == {1: 1, 3: 1, 5: 1, 7: 1}
+    # bgl(2) counts partitions into parts <= 2
+    assert times_bgl({0: 1}, [2], 10) == {0: 1, 2: 1, 4: 2, 6: 2, 8: 3, 10: 3}
