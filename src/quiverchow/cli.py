@@ -36,7 +36,7 @@ from .homotopy import (
     validate,
     weight_truncate,
 )
-from .klrpoly import relation_suite
+from .klrpoly import inversions, relation_suite
 from .nilrep import (
     Multisegment,
     Segment,
@@ -50,6 +50,7 @@ from .quiver import (
     Composition,
     DimVector,
     Quiver,
+    content_words,
     count_compositions,
     dim_qvariety,
     enumerate_complete_comps,
@@ -433,7 +434,7 @@ def cmd_complex(args) -> tuple[int, str]:
         out = {
             "schema": "complex-validate/1",
             "handle": c.handle.name,
-            "equality_bound": c.handle.equality_bound,
+            "equality_bound": None,
             "ok": report.ok,
             "problems": list(report.problems),
         }
@@ -588,9 +589,7 @@ def klr_match_cases(trunc: int = DEFAULT_TRUNC):
             geo = gdim_geo(Q, d, comp, comp, trunc)
             coeffs: dict[int, int] = {}
             for w in itertools.permutations(range(n)):
-                inv = sum(
-                    1 for k in range(n) for l in range(k + 1, n) if w[k] > w[l]
-                )
+                inv = inversions(w)
                 coeffs[-2 * inv] = coeffs.get(-2 * inv, 0) + 1
             m0 = min(coeffs)
             want = (
@@ -617,7 +616,7 @@ def klr_match_cases(trunc: int = DEFAULT_TRUNC):
 def klr_block_check(Q: Quiver, d: DimVector, trunc: int):
     """A case over every complete block of (Q, d): each matches after the
     normalization shift, and the transpose symmetry holds, to u^trunc."""
-    words = [c.word() for c in enumerate_complete_comps(Q, d)]
+    words = content_words(Q, d)
 
     def check():
         geo_cache = {}

@@ -21,7 +21,6 @@ dense list of exact integers, to $u^N$ and no further.  Nothing is cached.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .nilrep import aut_series_exponents, enumerate_nilreps, orbit_dim
@@ -30,9 +29,9 @@ from .quiver import (
     Composition,
     DimVector,
     Quiver,
-    cartan,
     dim_qvariety,
     enumerate_compositions,
+    permutation_degrees,
 )
 from .series import DEFAULT_TRUNC, HalfLaurentSeries, bgl, first_discrepancy, times_bgl
 
@@ -106,24 +105,6 @@ def gdim_geo(
     return HalfLaurentSeries.from_map(total, N)
 
 
-def _word_permutations(i: tuple[int, ...], j: tuple[int, ...]):
-    """All w with j[w(k)] = i[k] for words of equal content; grouped
-    positions keep duplicates exact."""
-    n = len(i)
-    slots: dict[int, list[int]] = {}
-    for pos, letter in enumerate(j):
-        slots.setdefault(letter, []).append(pos)
-    letters = sorted(slots)
-    choices = [itertools.permutations(slots[a]) for a in letters]
-    positions = {a: [k for k, b in enumerate(i) if b == a] for a in letters}
-    for combo in itertools.product(*choices):
-        w = [0] * n
-        for a, perm in zip(letters, combo):
-            for src, tgt in zip(positions[a], perm):
-                w[src] = tgt
-        yield tuple(w)
-
-
 def gdim_alg_klr(
     Q: Quiver,
     d: DimVector,
@@ -143,16 +124,8 @@ def gdim_alg_klr(
     content = [v for v in Q.vertices for _ in range(d[v])]
     if sorted(i) != content or sorted(j) != content:
         raise ValueError(f"words {i} and {j} must both have content {tuple(d)}")
-    cost = [[-cartan(Q, a, b) for b in i] for a in i]
     coeffs: dict[int, int] = {}
-    for w in _word_permutations(i, j):
-        deg = 0
-        for k in range(n):
-            wk = w[k]
-            row = cost[k]
-            for l in range(k + 1, n):
-                if wk > w[l]:
-                    deg += row[l]
+    for _, deg in permutation_degrees(Q, i, j):
         coeffs[deg] = coeffs.get(deg, 0) + 1
     return HalfLaurentSeries.from_map(times_bgl(coeffs, [1] * n, N), N)
 

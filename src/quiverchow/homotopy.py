@@ -1,16 +1,17 @@
 """Bounded complexes of graded free modules, with weight truncation.
 
 Objects here are complexes of free graded right modules $\\bigoplus
-e_iA\\langle s\\rangle$ over a locally unital graded algebra $A$, accessed
-purely through an `AlgebraHandle`: element arithmetic, a zero test,
-homogeneity checking, and a degree-zero invertibility test.  Three handles
-ship: the nil Hecke and quiver Hecke algebras (elements act on labeled
-polynomials; equality is decided exactly on the n! Artin monomials under
-each idempotent, a basis of the polynomial representation over the central
-symmetric polynomials) and the smash product of a polynomial ring with a
-symmetric group (exact arithmetic, invertibility by a linear solve on the
-group algebra's regular representation).  Every shipped handle decides
-equality exactly, so each records `equality_bound` None.
+e_iA\\langle s\\rangle$ over a locally unital graded algebra $A$.  The
+elements carry their own arithmetic (`+`, `-`, `*`, `scale`); an
+`AlgebraHandle` supplies what needs the algebra itself: idempotents, zero
+and units, a zero test, homogeneity checking, and a degree-zero
+invertibility test.  Three handles ship: the nil Hecke and quiver Hecke
+algebras (elements act on labeled polynomials; equality is decided exactly
+on the n! Artin monomials under each idempotent, a basis of the polynomial
+representation over the central symmetric polynomials) and the smash
+product of a polynomial ring with a symmetric group (exact arithmetic,
+invertibility by a linear solve on the group algebra's regular
+representation).  Every shipped handle decides equality exactly.
 
 The operations are the desk-scale shadow of the weight-structure toolkit:
 cohomological shift and internal twist, mapping cones, stupid (weight)
@@ -35,15 +36,20 @@ from .klrpoly import (
     Poly,
     SmashElement,
     _checked_index,
-    content_words,
     identity_perm,
     monomials_of_degree,
     perm_to_word,
-    smash_mul,
     word_offset,
 )
 from .linalg import solve_exact
-from .quiver import DimVector, Quiver, cartan, parse_dimvector, parse_quiver
+from .quiver import (
+    DimVector,
+    Quiver,
+    content_words,
+    parse_dimvector,
+    parse_quiver,
+    permutation_degrees,
+)
 
 MAX_EQUALITY_PERMUTATIONS = 720
 # largest exponent accepted in an expression, with nested exponents
@@ -62,36 +68,24 @@ MAX_NESTING = 100
 
 
 class AlgebraHandle:
-    """Interface every complex speaks through.
+    """What a complex needs from its algebra beyond element arithmetic.
 
-    Concrete handles define: `name`, `units_per_shift` (native internal
-    degree carried by one twist unit), `equality_bound` (None when equality
-    is exact), `idempotents`, element arithmetic, `is_zero`,
-    `is_block_homogeneous`, `block_basis`, `invert_degree_zero`, and the
+    Elements add, subtract, negate and multiply with `+`, `-` and `*`, and
+    scale with `scale(c)`.  Concrete handles define: `name`,
+    `units_per_shift` (native internal degree carried by one twist unit),
+    `idempotents`, `zero` and `unit(idem)`, the exact decisions `is_zero`,
+    `is_block_homogeneous` and `invert_degree_zero`, `block_basis`, and the
     expression atoms used by the parser and renderer.
     """
 
     name: str
     units_per_shift: int
-    equality_bound: int | None
     idempotents: tuple
 
     def zero(self):
         raise NotImplementedError
 
     def unit(self, idem):
-        raise NotImplementedError
-
-    def add(self, a, b):
-        raise NotImplementedError
-
-    def neg(self, a):
-        raise NotImplementedError
-
-    def scale(self, a, c):
-        raise NotImplementedError
-
-    def mul(self, a, b):
         raise NotImplementedError
 
     def term_count(self, a) -> int:
@@ -102,7 +96,7 @@ class AlgebraHandle:
         raise NotImplementedError
 
     def equal(self, a, b) -> bool:
-        return self.is_zero(self.add(a, self.neg(b)))
+        return self.is_zero(a - b)
 
     def is_block_homogeneous(self, a, frm, to, degree: int) -> bool:
         """Whether a lies in e_to A e_frm, homogeneous of native degree."""
@@ -138,8 +132,9 @@ class AlgebraHandle:
         out = self.zero()
         for _ in range(rng.randint(1, 2)):
             coeff = rng.choice([-2, -1, 1, 2, 3])
-            out = self.add(out, self.scale(rng.choice(basis), coeff))
+            out = out + rng.choice(basis).scale(coeff)
         return out
+
 
 class KLRHandle(AlgebraHandle):
     """Quiver Hecke algebra of (Q, d) through its polynomial action.
@@ -160,7 +155,6 @@ class KLRHandle(AlgebraHandle):
         self.d = d
         self.n = d.total
         self.units_per_shift = 2
-        self.equality_bound = None
         self.idempotents = tuple(content_words(Q, d))
         self.name = name or f"klr:{Q}:{','.join(str(e) for e in d)}"
         artin = list(itertools.product(*(range(k + 1) for k in range(self.n))))
@@ -176,18 +170,6 @@ class KLRHandle(AlgebraHandle):
 
     def unit(self, idem):
         return KLROperator.e(self.Q, self.n, idem)
-
-    def add(self, a, b):
-        return a + b
-
-    def neg(self, a):
-        return -a
-
-    def scale(self, a, c):
-        return a.scale(c)
-
-    def mul(self, a, b):
-        return a * b
 
     def is_zero(self, a) -> bool:
         if not a.terms:
@@ -211,39 +193,24 @@ class KLRHandle(AlgebraHandle):
                 return False
         return True
 
-    def _word_perms(self, frm, to):
-        n = self.n
-        out = []
-        for w in itertools.permutations(range(n)):
-            img = [None] * n
-            for k in range(n):
-                img[w[k]] = frm[k]
-            if tuple(img) == tuple(to):
-                out.append(w)
-        return out
-
     def block_basis(self, frm, to, degree: int) -> list:
+        """psi_w x^a e(frm) for each w carrying frm to to, in lexicographic
+        order of w, and each exponent vector a filling up the degree."""
         key = (frm, to, degree)
         if key in self._basis_cache:
             return self._basis_cache[key]
-        n = self.n
+        Q, n = self.Q, self.n
+        idem = KLROperator.e(Q, n, frm)
         basis = []
-        for w in self._word_perms(frm, to):
-            deg_w = 0
-            for k in range(n):
-                for l in range(k + 1, n):
-                    if w[k] > w[l]:
-                        deg_w += -cartan(self.Q, frm[k], frm[l])
+        for w, deg_w in sorted(permutation_degrees(Q, frm, to)):
             rem = degree - deg_w
             if rem < 0 or rem % 2:
                 continue
-            psi_atoms = tuple(("psi", r) for r in perm_to_word(w))
+            psi = KLROperator.one(Q, n)
+            for r in perm_to_word(w):
+                psi = psi * KLROperator.psi(Q, n, r)
             for exps in monomials_of_degree(n, rem // 2):
-                x_atoms = tuple(
-                    ("x", k + 1) for k, e in enumerate(exps) for _ in range(e)
-                )
-                atoms = psi_atoms + x_atoms + (("e", tuple(frm)),)
-                basis.append(KLROperator(self.Q, n, ((1, atoms),)))
+                basis.append(psi * KLROperator.from_poly(Q, n, Poly.monomial(n, exps)) * idem)
         self._basis_cache[key] = basis
         return basis
 
@@ -310,7 +277,6 @@ class SmashHandle(AlgebraHandle):
             raise ValueError("n must be positive")
         self.n = n
         self.units_per_shift = 1
-        self.equality_bound = None
         self.idempotents = ("e",)
         self.name = name or f"smash:{n}"
         self._perms = sorted(itertools.permutations(range(n)))
@@ -321,23 +287,8 @@ class SmashHandle(AlgebraHandle):
     def unit(self, idem):
         return SmashElement.unit(self.n)
 
-    def add(self, a, b):
-        return a.add(b)
-
-    def neg(self, a):
-        return a.neg()
-
-    def scale(self, a, c):
-        return a.scale(c)
-
-    def mul(self, a, b):
-        return smash_mul(a, b)
-
     def is_zero(self, a) -> bool:
         return a.is_zero()
-
-    def equal(self, a, b) -> bool:
-        return a == b
 
     def is_block_homogeneous(self, a, frm, to, degree: int) -> bool:
         return a.degrees() <= {degree}
@@ -373,7 +324,7 @@ class SmashHandle(AlgebraHandle):
         if sol is None:
             return None
         inv = SmashElement._flat(self.n, {(v, constant): c for v, c in zip(perms, sol)})
-        if self.mul(inv, a) != self.unit("e") or self.mul(a, inv) != self.unit("e"):
+        if inv * a != self.unit("e") or a * inv != self.unit("e"):
             return None
         return inv
 
@@ -479,9 +430,7 @@ class _ExprParser:
             if kind == "op" and val in "+-":
                 self.take()
                 rhs = self.term()
-                if val == "-":
-                    rhs = self.handle.neg(rhs)
-                value = self.handle.add(value, rhs)
+                value = value - rhs if val == "-" else value + rhs
             else:
                 return value
 
@@ -502,7 +451,7 @@ class _ExprParser:
         kind, val = self.peek()
         if kind == "op" and val == "-":
             self.take()
-            value = self.handle.neg(self.factor())
+            value = -self.factor()
         else:
             value = self.primary()
             kind, val = self.peek()
@@ -531,7 +480,7 @@ class _ExprParser:
             raise ValueError(
                 f"product of {pairs} term pairs exceeds the bound {MAX_PRODUCT_TERMS}"
             )
-        return self.handle.mul(a, b)
+        return a * b
 
     def primary(self):
         kind, val = self.take()
@@ -636,6 +585,19 @@ class ValidationReport:
     problems: tuple[str, ...]
 
 
+def _composite(h: AlgebraHandle, outer: dict, inner: dict, k: int, i: int, mids):
+    """The (k, i) entry of the product outer * inner: the sum over j in
+    mids, in order, of outer[k, j] * inner[j, i], a missing entry counting
+    as zero."""
+    acc = h.zero()
+    for j in mids:
+        a = outer.get((k, j))
+        b = inner.get((j, i))
+        if a is not None and b is not None:
+            acc = acc + a * b
+    return acc
+
+
 def validate(c: GradedComplex) -> ValidationReport:
     """Check entry block-homogeneity and d after d = 0."""
     h = c.handle
@@ -664,13 +626,7 @@ def validate(c: GradedComplex) -> ValidationReport:
         tops = by_deg.get(c0 + 2, [])
         for i in by_deg[c0]:
             for k in tops:
-                acc = h.zero()
-                for j in mids:
-                    a = c.diff.get((k, j))
-                    b = c.diff.get((j, i))
-                    if a is not None and b is not None:
-                        acc = h.add(acc, h.mul(a, b))
-                if not h.is_zero(acc):
+                if not h.is_zero(_composite(h, c.diff, c.diff, k, i, mids)):
                     problems.append(f"d after d is nonzero from {i} to {k}")
     return ValidationReport(not problems, tuple(problems))
 
@@ -681,7 +637,7 @@ def shift(c: GradedComplex, n: int) -> GradedComplex:
     gens = [Generator(g.idem, g.shift, g.cohdeg - n) for g in c.generators]
     sign = -1 if n % 2 else 1
     diff = {
-        key: (c.handle.scale(el, -1) if sign < 0 else el)
+        key: (el.scale(-1) if sign < 0 else el)
         for key, el in c.diff.items()
     }
     return GradedComplex(c.handle, gens, diff)
@@ -718,18 +674,9 @@ def validate_chain_map(f: ChainMap) -> ValidationReport:
         for k in range(len(tg)):
             if tg[k].cohdeg != sg[i].cohdeg + 1:
                 continue
-            acc = h.zero()
-            for j in range(len(tg)):
-                a = f.target.diff.get((k, j))
-                b = f.entries.get((j, i))
-                if a is not None and b is not None:
-                    acc = h.add(acc, h.mul(a, b))
-            for j in range(len(sg)):
-                a = f.entries.get((k, j))
-                b = f.source.diff.get((j, i))
-                if a is not None and b is not None:
-                    acc = h.add(acc, h.neg(h.mul(a, b)))
-            if not h.is_zero(acc):
+            d_after_f = _composite(h, f.target.diff, f.entries, k, i, range(len(tg)))
+            f_after_d = _composite(h, f.entries, f.source.diff, k, i, range(len(sg)))
+            if not h.is_zero(d_after_f - f_after_d):
                 problems.append(f"square at source {i}, target {k} does not commute")
     return ValidationReport(not problems, tuple(problems))
 
@@ -748,7 +695,7 @@ def cone(f: ChainMap) -> GradedComplex:
     gens.extend(tgt.generators)
     diff: dict = {}
     for (row, col), el in src.diff.items():
-        diff[(row, col)] = h.neg(el)
+        diff[(row, col)] = -el
     for (row, col), el in f.entries.items():
         diff[(offset + row, col)] = el
     for (row, col), el in tgt.diff.items():
@@ -823,9 +770,9 @@ def minimize(c: GradedComplex) -> GradedComplex:
         }
         for t, d_tp in from_p.items():
             for s, d_qs in into_q.items():
-                corr = h.neg(h.mul(h.mul(d_tp, inv), d_qs))
+                corr = -(d_tp * inv * d_qs)
                 old = diff.get((t, s))
-                diff[(t, s)] = corr if old is None else h.add(old, corr)
+                diff[(t, s)] = corr if old is None else old + corr
         keep = [k for k in range(len(gens)) if k not in (p, q)]
         remap = {orig: new for new, orig in enumerate(keep)}
         gens = [gens[k] for k in keep]
@@ -931,7 +878,7 @@ def complex_to_json(c: GradedComplex) -> dict:
     return {
         "schema": "complex/1",
         "handle": h.name,
-        "equality_bound": h.equality_bound,
+        "equality_bound": None,
         "generators": [
             [h.render_idem(g.idem), g.shift, g.cohdeg] for g in c.generators
         ],
@@ -1019,15 +966,8 @@ def random_complex(
             for k, tk in enumerate(gens):
                 if tk.cohdeg != si.cohdeg + 2:
                     continue
-                acc = handle.zero()
-                used = []
-                for j in range(len(gens)):
-                    a = diff.get((k, j))
-                    b = diff.get((j, i))
-                    if a is not None and b is not None:
-                        acc = handle.add(acc, handle.mul(a, b))
-                        used.append(j)
-                if used and not handle.is_zero(acc):
+                used = [j for j in range(len(gens)) if (k, j) in diff and (j, i) in diff]
+                if used and not handle.is_zero(_composite(handle, diff, diff, k, i, used)):
                     bad = (k, used[0])
                     break
             if bad:

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from math import comb
 
 from .linalg import rank_int
-from .quiver import DimVector, Quiver, cartan
+from .quiver import DimVector, Quiver, cartan, content_words
 from .series import _norm_coeff
 
 
@@ -42,7 +42,8 @@ from .series import _norm_coeff
 class _Sparse:
     """A finite map from keys to nonzero coefficients, normalised so that an
     integral Fraction is stored as an int; the subclass fixes what a key
-    means.  Equality, hashing and the linear operations live here once."""
+    means.  Equality, hashing and the linear operations, also spelled
+    +, - and unary -, live here once."""
 
     __slots__ = ("n", "terms")
 
@@ -81,6 +82,10 @@ class _Sparse:
 
     def sub(self, other):
         return self.add(other.neg())
+
+    __add__ = add
+    __neg__ = neg
+    __sub__ = sub
 
     def scale(self, factor):
         return self._flat(self.n, {k: c * factor for k, c in self.terms.items()})
@@ -205,11 +210,6 @@ class Poly(_Sparse):
 
 # ---------------------------------------------------------------------------
 # words and labeled polynomials
-
-
-def content_words(Q: Quiver, d: DimVector) -> list[tuple[int, ...]]:
-    letters = [v for v in Q.vertices for _ in range(d[v])]
-    return sorted(set(itertools.permutations(letters)))
 
 
 def word_offset(Q: Quiver, word: tuple[int, ...]) -> int:
@@ -531,12 +531,10 @@ def relation_suite(Q: Quiver, d: DimVector, trials: int = 100, seed: int = 0) ->
     seeded random inputs; also checks degree homogeneity of every
     generator.  Zero failures is the correctness gate for the crossing
     conventions."""
-    if len(d) != Q.n:
-        raise ValueError("dimension vector does not match the quiver")
+    words = content_words(Q, d)
     if d.total < 1:
         raise ValueError("the relation suite needs a dimension vector with positive total")
     n = d.total
-    words = content_words(Q, d)
     E = {w: KLROperator.e(Q, n, w) for w in words}
     X = {k: KLROperator.x(Q, n, k) for k in range(1, n + 1)}
     PSI = {r: KLROperator.psi(Q, n, r) for r in range(1, n)}
@@ -771,6 +769,9 @@ class SmashElement(_Sparse):
 
     def degrees(self) -> set[int]:
         return {sum(e) for _, e in self.terms}
+
+    def __mul__(self, other: "SmashElement") -> "SmashElement":
+        return smash_mul(self, other)
 
     def __str__(self) -> str:
         if not self.terms:

@@ -183,18 +183,62 @@ def cartan(Q: Quiver, v: int, w: int) -> int:
     return -(Q.arrow_count(v, w) + Q.arrow_count(w, v))
 
 
-def enumerate_complete_comps(Q: Quiver, d: DimVector) -> list[Composition]:
-    """All words with content d, lexicographically ordered.
+def content_words(Q: Quiver, d: DimVector) -> list[tuple[int, ...]]:
+    """All words with content d (d_v letters v), each once, in
+    lexicographic order.  Each word is the next permutation of the one
+    before, so the cost follows the number of words, not total(d)!.
 
-    >>> Q = Quiver("linear", 2)
-    >>> [c.word() for c in enumerate_complete_comps(Q, DimVector((1, 1)))]
-    [(0, 1), (1, 0)]
+    >>> content_words(Quiver("linear", 2), DimVector((2, 1)))
+    [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
     """
     if len(d) != Q.n:
-        raise ValueError("dimension vector does not match the quiver")
-    letters = [v for v in Q.vertices for _ in range(d[v])]
-    words = sorted(set(itertools.permutations(letters)))
-    return [Composition.from_word(w, Q.n) for w in words]
+        raise ValueError(f"dimension vector {d} has {len(d)} entries, {Q} has {Q.n} vertices")
+    word = [v for v in Q.vertices for _ in range(d[v])]
+    out = [tuple(word)]
+    while True:
+        k = len(word) - 2
+        while k >= 0 and word[k] >= word[k + 1]:
+            k -= 1
+        if k < 0:
+            return out
+        l = len(word) - 1
+        while word[l] <= word[k]:
+            l -= 1
+        word[k], word[l] = word[l], word[k]
+        word[k + 1:] = reversed(word[k + 1:])
+        out.append(tuple(word))
+
+
+def enumerate_complete_comps(Q: Quiver, d: DimVector) -> list[Composition]:
+    """All complete compositions of d, in the order of `content_words`."""
+    return [Composition.from_word(w, Q.n) for w in content_words(Q, d)]
+
+
+def permutation_degrees(Q: Quiver, i: tuple[int, ...], j: tuple[int, ...]):
+    """Yield (w, deg) for every permutation w with j[w(k)] = i[k], for words
+    i and j of equal content, where deg sums -cartan(i_k, i_l) over the
+    inversions k < l, w(k) > w(l).  Only the positions of equal letters
+    are permuted, so repeated letters cost no filtering."""
+    n = len(i)
+    slots: dict[int, list[int]] = {}
+    for pos, letter in enumerate(j):
+        slots.setdefault(letter, []).append(pos)
+    letters = sorted(slots)
+    positions = {a: [k for k, b in enumerate(i) if b == a] for a in letters}
+    cost = [[-cartan(Q, a, b) for b in i] for a in i]
+    for combo in itertools.product(*(itertools.permutations(slots[a]) for a in letters)):
+        w = [0] * n
+        for a, perm in zip(letters, combo):
+            for src, tgt in zip(positions[a], perm):
+                w[src] = tgt
+        deg = 0
+        for k in range(n):
+            wk = w[k]
+            row = cost[k]
+            for l in range(k + 1, n):
+                if wk > w[l]:
+                    deg += row[l]
+        yield tuple(w), deg
 
 
 def multinomial(d: DimVector) -> int:

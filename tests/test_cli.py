@@ -7,6 +7,7 @@ separators and a schema tag, and must not depend on --threads.
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 import os
@@ -20,6 +21,7 @@ import pytest
 import quiverchow
 from quiverchow import cli
 from quiverchow.cli import main
+from quiverchow.homotopy import complex_to_json, parse_handle, random_complex
 from quiverchow.quiver import DimVector, count_compositions, multinomial
 
 
@@ -145,8 +147,10 @@ _TWO_GENS = [[[0, 0], 0, 0], [[0, 0], 0, 1]]
       "differential": [[5, 0, "e(0,0)"]]}, "minimize"),
     ({"handle": "nilhecke:2", "generators": _TWO_GENS,
       "differential": [[1, 0, "(" * 400 + "x1" + ")" * 400]]}, "validate"),
+    ({"handle": "klr:A2:1,1,1", "generators": [[[0, 1], 0, 0]]}, "validate"),
 ], ids=["missing-handle", "json-list", "crossing-out-of-range",
-        "zero-denominator", "entry-out-of-range", "deep-parentheses"])
+        "zero-denominator", "entry-out-of-range", "deep-parentheses",
+        "dimension-vector-of-wrong-length"])
 def test_complex_bad_input_ends_in_one_error_line(capsys, tmp_path, doc, op):
     path = tmp_path / "c.json"
     path.write_text(json.dumps(doc))
@@ -317,6 +321,40 @@ def test_gdim_table_refuses_too_many_blocks_before_any_work(capsys):
     # the largest tables in use stay allowed: 1,936 and 8,100 blocks
     assert count_compositions(DimVector((1, 2, 1))) ** 2 <= cli.MAX_TABLE_BLOCKS
     assert multinomial(DimVector((2, 2, 2))) ** 2 <= cli.MAX_TABLE_BLOCKS
+
+
+def test_gdim_table_of_one_long_word_is_quick(capsys):
+    # twelve equal letters make one word: the words are built one after
+    # another, not filtered from the 12! permutations of the letters
+    t0 = time.monotonic()
+    code, out = run_cli(capsys, "gdim-table", "--quiver", "A1", "--dim", "12",
+                        "--trunc", "0")
+    elapsed = time.monotonic() - t0
+    assert code == 0
+    assert len(json.loads(out)["blocks"]) == 1
+    assert elapsed < 2.0, f"one block took {elapsed:.1f}s"
+
+
+def test_complex_ops_render_the_same_bytes(capsys, tmp_path):
+    # pinned output of the parse -> operate -> render path: one SHA-256 over
+    # the exit code and stdout of 250 runs, 5 ops on 10 seeded random
+    # complexes per handle
+    digest = hashlib.sha256()
+    path = tmp_path / "c.json"
+    t0 = time.monotonic()
+    for spec in ("smash:2", "smash:3", "nilhecke:2", "klr:A2:1,1", "klr:cyclic:2:1,1"):
+        handle = parse_handle(spec)
+        for t in range(10):
+            c = random_complex(handle, random.Random(f"corpus:{spec}:{t}"))
+            path.write_text(json.dumps(complex_to_json(c)))
+            for op in ("validate", "minimize", "cone-id", "truncate:0", "shift:1"):
+                code, out = run_cli(capsys, "complex", "--input", str(path), "--op", op)
+                digest.update(f"{spec} {t} {op} {code}\n{out}".encode())
+    elapsed = time.monotonic() - t0
+    assert digest.hexdigest() == (
+        "4c39d9e579da914ae68000a1a019015afb7f2ba92e7e891fbb5bab1f556c874a"
+    )
+    assert elapsed < 2.0, f"the corpus took {elapsed:.1f}s"
 
 
 def test_complex_truncate_emits_triangle(capsys, tmp_path):

@@ -43,7 +43,15 @@ from quiverchow.homotopy import (
     validate_chain_map,
     weight_truncate,
 )
-from quiverchow.klrpoly import LabeledPoly, Poly, monomials_of_degree, word_offset
+from quiverchow.klrpoly import (
+    KLROperator,
+    LabeledPoly,
+    Poly,
+    monomials_of_degree,
+    perm_to_word,
+    word_offset,
+)
+from quiverchow.quiver import cartan
 
 
 HANDLE_SPECS = ("nilhecke:2", "klr:A2:1,1", "klr:cyclic:2:1,1", "smash:2")
@@ -65,7 +73,8 @@ def test_parse_handle_accepts_corpus_and_rejects_garbage():
         h = parse_handle(spec)
         assert h.name == spec
         assert h.idempotents
-    for bad in ("nilhecke:0", "klr:A2", "smash:x", "unknown:1"):
+    for bad in ("nilhecke:0", "klr:A2", "smash:x", "unknown:1",
+                "klr:A2:1,1,1", "klr:A2:0,0,3"):
         with pytest.raises(ValueError):
             parse_handle(bad)
 
@@ -75,11 +84,11 @@ def test_parse_element_expressions():
     e = parse_element(h, "e(0,0)")
     x = parse_element(h, "x1*e(0,0) + 2*x2")
     assert not h.is_zero(e)
-    assert h.is_zero(h.add(e, h.neg(e)))
-    assert h.is_zero(h.add(x, h.neg(x)))
+    assert h.is_zero(e + -e)
+    assert h.is_zero(x + -x)
     sm = parse_handle("smash:2")
     s1 = parse_element(sm, "s1")
-    assert sm.is_zero(sm.add(sm.mul(s1, s1), sm.neg(sm.unit("e"))))
+    assert sm.is_zero(s1 * s1 + -sm.unit("e"))
     with pytest.raises(ValueError):
         parse_element(h, "x1 +* x2")
     with pytest.raises(ValueError):
@@ -140,7 +149,7 @@ def test_shift_round_trip_and_signs():
                for g, orig in zip(s.generators, c.generators))
     # odd shift negates the differential
     ((key, val),) = tuple(s.diff.items())
-    assert s.handle.is_zero(s.handle.add(val, c.diff[key]))
+    assert s.handle.is_zero(val + c.diff[key])
     back = shift(s, -1)
     assert complexes_equal(back, c)
 
@@ -317,8 +326,44 @@ def test_nilhecke5_longest_element_is_nonzero():
     h = parse_handle("nilhecke:5")
     w0 = parse_element(h, "psi1*psi2*psi1*psi3*psi2*psi1*psi4*psi3*psi2*psi1")
     assert not h.is_zero(w0)
-    assert h.is_zero(h.mul(w0, w0))
-    assert h.equality_bound is None
+    assert h.is_zero(w0 * w0)
+    c = GradedComplex(h, [Generator(h.idempotents[0], 0, 0)], {})
+    assert complex_to_json(c)["equality_bound"] is None
+
+
+def _filtered_block_basis(h, frm, to, degree):
+    """block_basis by filtering all n! permutations, with each basis element
+    written out as one raw atom string."""
+    n = h.n
+    out = []
+    for w in itertools.permutations(range(n)):
+        img = [None] * n
+        for k in range(n):
+            img[w[k]] = frm[k]
+        if tuple(img) != tuple(to):
+            continue
+        deg_w = sum(-cartan(h.Q, frm[k], frm[l])
+                    for k in range(n) for l in range(k + 1, n) if w[k] > w[l])
+        rem = degree - deg_w
+        if rem < 0 or rem % 2:
+            continue
+        psi_atoms = tuple(("psi", r) for r in perm_to_word(w))
+        for exps in monomials_of_degree(n, rem // 2):
+            x_atoms = tuple(("x", k + 1) for k, e in enumerate(exps) for _ in range(e))
+            atoms = psi_atoms + x_atoms + (("e", tuple(frm)),)
+            out.append(KLROperator(h.Q, n, ((1, atoms),)))
+    return out
+
+
+def test_block_basis_matches_the_permutation_filter():
+    # element by element and in order: random complexes draw from it
+    for spec in ("nilhecke:3", "klr:A2:2,1", "klr:cyclic:2:1,1"):
+        h = parse_handle(spec)
+        for frm in h.idempotents:
+            for to in h.idempotents:
+                for degree in range(-2, 5):
+                    want = _filtered_block_basis(h, frm, to, degree)
+                    assert h.block_basis(frm, to, degree) == want, (spec, frm, to, degree)
 
 
 def _reference_inputs(h):

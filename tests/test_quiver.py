@@ -9,6 +9,7 @@ coefficient $(\\sum d_v)! / \\prod d_v!$.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 
@@ -116,6 +117,8 @@ def test_complete_comps_count_is_multinomial():
         Q = parse_quiver(f"cyclic:{n}") if rng.random() < 0.5 else parse_quiver(f"A{n}")
         d = DimVector(tuple(rng.randint(0, 2) for _ in range(n)))
         comps = enumerate_complete_comps(Q, d)
+        letters = [v for v in Q.vertices for _ in range(d[v])]
+        assert [c.word() for c in comps] == sorted(set(itertools.permutations(letters)))
         expect = math.factorial(d.total)
         for dv in d:
             expect //= math.factorial(dv)
