@@ -343,6 +343,13 @@ def cmd_gdim_table(args) -> tuple[int, str]:
     Q = parse_quiver(args.quiver)
     d = parse_dimvector(args.dim)
     N = args.trunc
+    # every cut of one word into runs is a composition, so there are at
+    # least 2^(total-1); past the bound that refuses before the exact count
+    if args.all_comps and d.total > 0 and 4 ** (d.total - 1) > MAX_TABLE_BLOCKS:
+        raise ValueError(
+            f"gdim-table would compute at least 4^{d.total - 1} blocks (at least "
+            f"2^{d.total - 1} compositions squared), above the bound of {MAX_TABLE_BLOCKS}"
+        )
     n_comps = count_compositions(d) if args.all_comps else multinomial(d)
     if n_comps**2 > MAX_TABLE_BLOCKS:
         raise ValueError(

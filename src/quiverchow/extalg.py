@@ -146,9 +146,10 @@ def compare_block(
     j = tuple(j)
     ci = Composition.from_word(i, Q.n)
     cj = Composition.from_word(j, Q.n)
-    geo = gdim_geo(Q, d, ci, cj, N)
     shift = dim_qvariety(Q, cj) - dim_qvariety(Q, ci)
+    # the algebraic side first: it refuses a block past the permutation bound
     alg_wide = gdim_alg_klr(Q, d, i, j, max(N, N - shift))
+    geo = gdim_geo(Q, d, ci, cj, N)
     alg = alg_wide.truncate(N)
     shifted = alg_wide.mul(HalfLaurentSeries.monomial(shift)).truncate(N)
     gap = first_discrepancy(geo, shifted)

@@ -29,6 +29,7 @@ import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial
 
 from .klrpoly import (
     KLROperator,
@@ -46,6 +47,7 @@ from .quiver import (
     DimVector,
     Quiver,
     content_words,
+    multinomial,
     parse_dimvector,
     parse_quiver,
     permutation_degrees,
@@ -61,6 +63,19 @@ MAX_PRODUCT_TERMS = 4096
 # deepest nesting of parentheses and unary minus in an expression; checked
 # before the recursive-descent parser runs out of interpreter stack
 MAX_NESTING = 100
+# a handle builds its inputs eagerly: n! Artin monomials per word for the
+# quiver Hecke handles, the n! permutations for smash; a handle needing more
+# is refused before anything is built
+MAX_HANDLE_INPUTS = 40_320
+
+
+def _check_handle_size(name: str, words: int, n: int) -> None:
+    size = words * factorial(n)
+    if size > MAX_HANDLE_INPUTS:
+        raise ValueError(
+            f"handle {name} needs {size} inputs ({words} x {n}!), "
+            f"above the bound of {MAX_HANDLE_INPUTS}"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -151,12 +166,13 @@ class KLRHandle(AlgebraHandle):
     def __init__(self, Q: Quiver, d: DimVector, name: str | None = None):
         if d.total < 1:
             raise ValueError("handle needs a positive total dimension")
+        self.name = name or f"klr:{Q}:{','.join(str(e) for e in d)}"
+        _check_handle_size(self.name, multinomial(d), d.total)
         self.Q = Q
         self.d = d
         self.n = d.total
         self.units_per_shift = 2
         self.idempotents = tuple(content_words(Q, d))
-        self.name = name or f"klr:{Q}:{','.join(str(e) for e in d)}"
         artin = list(itertools.product(*(range(k + 1) for k in range(self.n))))
         self._inputs = [
             (w, exps, LabeledPoly.from_poly(w, Poly.monomial(self.n, exps)))
@@ -275,10 +291,11 @@ class SmashHandle(AlgebraHandle):
     def __init__(self, n: int, name: str | None = None):
         if n < 1:
             raise ValueError("n must be positive")
+        self.name = name or f"smash:{n}"
+        _check_handle_size(self.name, 1, n)
         self.n = n
         self.units_per_shift = 1
         self.idempotents = ("e",)
-        self.name = name or f"smash:{n}"
         self._perms = sorted(itertools.permutations(range(n)))
 
     def zero(self):

@@ -8,10 +8,13 @@ psi_r either applies the divided difference (equal adjacent labels) or swaps
 the labels, permutes the variables, and multiplies by one linear factor per
 arrow from the left label to the right one.  A `LabeledPoly` is stored
 flat, as {(word, exponents): coefficient}, and the action runs on that map:
-each generator rewrites exponent tuples directly, and `KLROperator.apply`
-reads the input's map and returns its result map as a `LabeledPoly`.
-`relation_suite` checks the defining relations of this presentation on
-seeded random inputs; it is the normative gate for the sign conventions.
+each generator rewrites exponent tuples directly (`_act`), and one kernel,
+`_apply_terms`, folds a sum of (coefficient, atoms) terms through the
+input's map; `KLROperator.apply` calls it and wraps the result as a
+`LabeledPoly`.  `relation_suite` checks the defining relations of this
+presentation on seeded random inputs, drawn straight into flat maps: each
+relation side is a term list folded by the same kernel, so no operator is
+multiplied out.  It is the normative gate for the sign conventions.
 
 The second algebra is the smash product of a polynomial ring with the
 symmetric group, S # Q[S_n], with multiplication (f.w)(g.v) = f w(g) . wv;
@@ -310,6 +313,31 @@ def _act(Q: Quiver, atom: tuple, flat: dict) -> dict:
     return {key: c for key, c in out.items() if c != 0}
 
 
+def _apply_terms(Q: Quiver, terms, flat: dict) -> dict:
+    """A sum of (coefficient, atoms) terms on a flat labeled polynomial:
+    each term's atoms fold through `_act`, rightmost first, and the
+    results add up.  A key whose coefficients cancel stays, with value 0."""
+    total: dict = {}
+    for c, atoms in terms:
+        cur = flat
+        for atom in reversed(atoms):
+            if not cur:
+                break
+            cur = _act(Q, atom, cur)
+        for key, v in cur.items():
+            total[key] = total.get(key, 0) + c * v
+    return total
+
+
+def _poly_terms(f: Poly, tail: tuple = ()) -> list:
+    """Multiplication by f, after the atoms of tail, as (coefficient,
+    atoms) terms: one x-monomial atom string per monomial of f."""
+    return [
+        (c, tuple(("x", k + 1) for k, a in enumerate(e) for _ in range(a)) + tail)
+        for e, c in f.terms.items()
+    ]
+
+
 def atom_degree(Q: Quiver, atom: tuple, word: tuple[int, ...]) -> int:
     """Declared degree of a generator applied to the given word."""
     kind = atom[0]
@@ -328,8 +356,8 @@ class KLROperator:
     Terms are (coefficient, atoms) with atoms written left to right in
     operator order: the rightmost atom acts first.  Elements are never
     normal-formed; equality questions go through the action.  `apply`
-    folds each term's atoms through the input's flat map {(word,
-    exponents): coefficient}; the generator constructors refuse
+    folds the terms through the input's flat map {(word, exponents):
+    coefficient} with `_apply_terms`; the generator constructors refuse
     indices and words outside the algebra on n strands.
     """
 
@@ -375,11 +403,7 @@ class KLROperator:
     @staticmethod
     def from_poly(Q: Quiver, n: int, f: Poly) -> "KLROperator":
         """Multiplication by a polynomial, as a sum of x-monomial atoms."""
-        terms = []
-        for e, c in f.terms.items():
-            atoms = tuple(("x", k + 1) for k, a in enumerate(e) for _ in range(a))
-            terms.append((c, atoms))
-        return KLROperator(Q, n, tuple(terms))
+        return KLROperator(Q, n, tuple(_poly_terms(f)))
 
     # arithmetic
 
@@ -415,16 +439,7 @@ class KLROperator:
     def apply(self, m: LabeledPoly) -> LabeledPoly:
         if m.n != self.n:
             raise ValueError(f"a polynomial in {m.n} variables on {self.n} strands")
-        total: dict = {}
-        for c, atoms in self.terms:
-            cur = m.terms
-            for atom in reversed(atoms):
-                if not cur:
-                    break
-                cur = _act(self.Q, atom, cur)
-            for key, v in cur.items():
-                total[key] = total.get(key, 0) + c * v
-        return LabeledPoly._flat(self.n, total)
+        return LabeledPoly._flat(self.n, _apply_terms(self.Q, self.terms, m.terms))
 
     def __str__(self) -> str:
         if not self.terms:
@@ -508,39 +523,54 @@ class SuiteReport:
         return all(v.ok for v in self.verdicts)
 
 
-def _rand_poly(rng: random.Random, n: int, max_terms: int = 2) -> Poly:
-    terms = {}
-    for _ in range(rng.randint(1, max_terms)):
-        exps = [rng.randint(0, 2) for _ in range(n)]
-        while sum(exps) > 6:
-            exps[rng.randrange(n)] = 0
-        coeff = rng.choice([-3, -2, -1, 1, 2, 3])
-        key = tuple(exps)
-        terms[key] = terms.get(key, 0) + coeff
-    return Poly(n, terms)
+_COEFFS = (-3, -2, -1, 1, 2, 3)
 
 
-def _rand_labeled(rng: random.Random, n: int, words) -> LabeledPoly:
-    count = min(len(words), rng.randint(1, 2))
-    chosen = rng.sample(words, count)
-    return LabeledPoly(n, {w: _rand_poly(rng, n) for w in chosen})
+def _rand_flat(rng: random.Random, n: int, words) -> dict:
+    """A random labeled polynomial, drawn straight into its flat map
+    {(word, exponents): coefficient}: one or two words, each with one or
+    two monomials of exponents at most 2 and total degree at most 6."""
+    flat: dict = {}
+    for w in rng.sample(words, min(len(words), rng.randint(1, 2))):
+        for _ in range(rng.randint(1, 2)):
+            exps = [rng.randint(0, 2) for _ in range(n)]
+            while sum(exps) > 6:
+                exps[rng.randrange(n)] = 0
+            key = (w, tuple(exps))
+            flat[key] = flat.get(key, 0) + rng.choice(_COEFFS)
+    return {key: c for key, c in flat.items() if c != 0}
 
 
 def relation_suite(Q: Quiver, d: DimVector, trials: int = 100, seed: int = 0) -> SuiteReport:
     """Checks the defining relations of the labeled-polynomial action on
     seeded random inputs; also checks degree homogeneity of every
     generator.  Zero failures is the correctness gate for the crossing
-    conventions."""
+    conventions.
+
+    Each relation side is a list of (coefficient, atoms) terms, atoms in
+    operator order; a relation holds on an input when `_apply_terms`
+    folds lhs - rhs over its flat map to all-zero coefficients.  No
+    operator is multiplied out."""
     words = content_words(Q, d)
     if d.total < 1:
         raise ValueError("the relation suite needs a dimension vector with positive total")
     n = d.total
-    E = {w: KLROperator.e(Q, n, w) for w in words}
-    X = {k: KLROperator.x(Q, n, k) for k in range(1, n + 1)}
-    PSI = {r: KLROperator.psi(Q, n, r) for r in range(1, n)}
 
-    def check_equal(lhs: KLROperator, rhs: KLROperator, f: LabeledPoly) -> bool:
-        return lhs.apply(f) == rhs.apply(f)
+    def E(w):
+        return ("e", w)
+
+    def X(k):
+        return ("x", k)
+
+    def PSI(r):
+        return ("psi", r)
+
+    def check_equal(lhs: list, rhs: list, f: dict) -> bool:
+        diff = _apply_terms(Q, lhs + [(-c, atoms) for c, atoms in rhs], f)
+        return not any(diff.values())
+
+    def show(f: dict) -> LabeledPoly:
+        return LabeledPoly._flat(n, f)
 
     families: list[tuple[str, object]] = []
 
@@ -552,130 +582,120 @@ def relation_suite(Q: Quiver, d: DimVector, trials: int = 100, seed: int = 0) ->
 
     @fam("idempotents")
     def _idem(rng: random.Random) -> str | None:
-        f = _rand_labeled(rng, n, words)
+        f = _rand_flat(rng, n, words)
         i = rng.choice(words)
         j = rng.choice(words)
-        lhs = (E[i] * E[j]).apply(f)
-        rhs = E[i].apply(f) if i == j else LabeledPoly.zero(n)
-        if lhs != rhs:
-            return f"e({i})e({j}) on {f}"
-        total = LabeledPoly.zero(n)
-        for w in words:
-            total = total.add(E[w].apply(f))
-        if total != f:
-            return f"sum of idempotents on {f}"
+        if not check_equal([(1, (E(i), E(j)))], [(1, (E(i),))] if i == j else [], f):
+            return f"e({i})e({j}) on {show(f)}"
+        if not check_equal([(1, (E(w),)) for w in words], [(1, ())], f):
+            return f"sum of idempotents on {show(f)}"
         return None
 
     @fam("x-commute")
     def _xcomm(rng: random.Random) -> str | None:
-        f = _rand_labeled(rng, n, words)
+        f = _rand_flat(rng, n, words)
         k = rng.randint(1, n)
         l = rng.randint(1, n)
-        if not check_equal(X[k] * X[l], X[l] * X[k], f):
-            return f"x{k} x{l} on {f}"
+        if not check_equal([(1, (X(k), X(l)))], [(1, (X(l), X(k)))], f):
+            return f"x{k} x{l} on {show(f)}"
         return None
 
     if n >= 2:
 
         @fam("label-exchange")
         def _exchange(rng: random.Random) -> str | None:
-            f = _rand_labeled(rng, n, words)
+            f = _rand_flat(rng, n, words)
             r = rng.randint(1, n - 1)
             i = rng.choice(words)
             si = list(i)
             si[r - 1], si[r] = si[r], si[r - 1]
-            if not check_equal(PSI[r] * E[i], E[tuple(si)] * PSI[r], f):
-                return f"psi{r} e({i}) exchange on {f}"
+            if not check_equal([(1, (PSI(r), E(i)))], [(1, (E(tuple(si)), PSI(r)))], f):
+                return f"psi{r} e({i}) exchange on {show(f)}"
             return None
 
         @fam("mixed-left")
         def _mixed_left(rng: random.Random) -> str | None:
-            f = _rand_labeled(rng, n, words)
+            f = _rand_flat(rng, n, words)
             r = rng.randint(1, n - 1)
             i = rng.choice(words)
-            delta = 1 if i[r - 1] == i[r] else 0
-            lhs = PSI[r] * X[r] * E[i] - X[r + 1] * PSI[r] * E[i]
-            rhs = E[i].scale(delta)
+            lhs = [(1, (PSI(r), X(r), E(i))), (-1, (X(r + 1), PSI(r), E(i)))]
+            rhs = [(1, (E(i),))] if i[r - 1] == i[r] else []
             if not check_equal(lhs, rhs, f):
-                return f"(psi{r} x{r} - x{r + 1} psi{r}) e({i}) on {f}"
+                return f"(psi{r} x{r} - x{r + 1} psi{r}) e({i}) on {show(f)}"
             return None
 
         @fam("mixed-right")
         def _mixed_right(rng: random.Random) -> str | None:
-            f = _rand_labeled(rng, n, words)
+            f = _rand_flat(rng, n, words)
             r = rng.randint(1, n - 1)
             i = rng.choice(words)
-            delta = 1 if i[r - 1] == i[r] else 0
-            lhs = X[r] * PSI[r] * E[i] - PSI[r] * X[r + 1] * E[i]
-            rhs = E[i].scale(delta)
+            lhs = [(1, (X(r), PSI(r), E(i))), (-1, (PSI(r), X(r + 1), E(i)))]
+            rhs = [(1, (E(i),))] if i[r - 1] == i[r] else []
             if not check_equal(lhs, rhs, f):
-                return f"(x{r} psi{r} - psi{r} x{r + 1}) e({i}) on {f}"
+                return f"(x{r} psi{r} - psi{r} x{r + 1}) e({i}) on {show(f)}"
             return None
 
         @fam("psi-square")
         def _square(rng: random.Random) -> str | None:
-            f = _rand_labeled(rng, n, words)
+            f = _rand_flat(rng, n, words)
             r = rng.randint(1, n - 1)
             i = rng.choice(words)
-            q = q_factor(Q, n, i[r - 1], i[r], r)
-            lhs = PSI[r] * PSI[r] * E[i]
-            rhs = KLROperator.from_poly(Q, n, q) * E[i]
-            if not check_equal(lhs, rhs, f):
-                return f"psi{r}^2 e({i}) on {f}"
+            rhs = _poly_terms(q_factor(Q, n, i[r - 1], i[r], r), (E(i),))
+            if not check_equal([(1, (PSI(r), PSI(r), E(i)))], rhs, f):
+                return f"psi{r}^2 e({i}) on {show(f)}"
             return None
 
     if n >= 3:
 
         @fam("x-distant")
         def _xdist(rng: random.Random) -> str | None:
-            f = _rand_labeled(rng, n, words)
+            f = _rand_flat(rng, n, words)
             r = rng.randint(1, n - 1)
             others = [s for s in range(1, n + 1) if s not in (r, r + 1)]
             s = rng.choice(others)
-            if not check_equal(PSI[r] * X[s], X[s] * PSI[r], f):
-                return f"psi{r} x{s} on {f}"
+            if not check_equal([(1, (PSI(r), X(s)))], [(1, (X(s), PSI(r)))], f):
+                return f"psi{r} x{s} on {show(f)}"
             return None
 
         @fam("braid")
         def _braid(rng: random.Random) -> str | None:
-            f = _rand_labeled(rng, n, words)
+            f = _rand_flat(rng, n, words)
             r = rng.randint(1, n - 2)
             i = rng.choice(words)
-            lhs = (
-                PSI[r] * PSI[r + 1] * PSI[r] * E[i]
-                - PSI[r + 1] * PSI[r] * PSI[r + 1] * E[i]
-            )
-            rhs = KLROperator.from_poly(Q, n, braid_correction(Q, n, i, r)) * E[i]
+            lhs = [
+                (1, (PSI(r), PSI(r + 1), PSI(r), E(i))),
+                (-1, (PSI(r + 1), PSI(r), PSI(r + 1), E(i))),
+            ]
+            rhs = _poly_terms(braid_correction(Q, n, i, r), (E(i),))
             if not check_equal(lhs, rhs, f):
-                return f"braid at {r} on e({i}), {f}"
+                return f"braid at {r} on e({i}), {show(f)}"
             return None
 
     if n >= 4:
 
         @fam("psi-distant")
         def _psidist(rng: random.Random) -> str | None:
-            f = _rand_labeled(rng, n, words)
+            f = _rand_flat(rng, n, words)
             r = rng.randint(1, n - 3)
             s = rng.randint(r + 2, n - 1)
-            if not check_equal(PSI[r] * PSI[s], PSI[s] * PSI[r], f):
-                return f"psi{r} psi{s} on {f}"
+            if not check_equal([(1, (PSI(r), PSI(s)))], [(1, (PSI(s), PSI(r)))], f):
+                return f"psi{r} psi{s} on {show(f)}"
             return None
 
     @fam("degree-homogeneity")
     def _homog(rng: random.Random) -> str | None:
         i = rng.choice(words)
         exps = tuple(rng.randint(0, 2) for _ in range(n))
-        f = LabeledPoly.from_poly(i, Poly.monomial(n, exps, rng.choice([1, 2, -1])))
+        f = {(i, exps): rng.choice((1, 2, -1))}
         in_deg = 2 * sum(exps) + word_offset(Q, i)
-        gens: list[tuple] = [("e", rng.choice(words)), ("x", rng.randint(1, n))]
+        gens: list[tuple] = [E(rng.choice(words)), X(rng.randint(1, n))]
         if n >= 2:
-            gens.append(("psi", rng.randint(1, n - 1)))
+            gens.append(PSI(rng.randint(1, n - 1)))
         atom = rng.choice(gens)
         shift = atom_degree(Q, atom, i)
-        out = KLROperator(Q, n, ((1, (atom,)),)).apply(f)
-        degs = out.offset_degrees(Q)
+        degs = show(_apply_terms(Q, [(1, (atom,))], f)).offset_degrees(Q)
         if degs and degs != {in_deg + shift}:
-            return f"{atom} on {f}: degrees {sorted(degs)}, expected {in_deg + shift}"
+            return f"{atom} on {show(f)}: degrees {sorted(degs)}, expected {in_deg + shift}"
         return None
 
     verdicts = []

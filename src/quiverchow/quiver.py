@@ -14,7 +14,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from math import comb, factorial
+from math import comb, factorial, prod
 
 
 @dataclass(frozen=True)
@@ -214,15 +214,32 @@ def enumerate_complete_comps(Q: Quiver, d: DimVector) -> list[Composition]:
     return [Composition.from_word(w, Q.n) for w in content_words(Q, d)]
 
 
+# permutation_degrees walks prod_v d_v! permutations, one per reordering of
+# equal letters; a longer walk is refused before it starts
+MAX_WORD_PERMUTATIONS = 40_320
+
+
 def permutation_degrees(Q: Quiver, i: tuple[int, ...], j: tuple[int, ...]):
-    """Yield (w, deg) for every permutation w with j[w(k)] = i[k], for words
-    i and j of equal content, where deg sums -cartan(i_k, i_l) over the
-    inversions k < l, w(k) > w(l).  Only the positions of equal letters
-    are permuted, so repeated letters cost no filtering."""
-    n = len(i)
+    """An iterator of (w, deg) for every permutation w with j[w(k)] = i[k],
+    for words i and j of equal content, where deg sums -cartan(i_k, i_l)
+    over the inversions k < l, w(k) > w(l).  Only the positions of equal
+    letters are permuted, so repeated letters cost no filtering.  A walk
+    of more than MAX_WORD_PERMUTATIONS is refused here, before any step."""
     slots: dict[int, list[int]] = {}
     for pos, letter in enumerate(j):
         slots.setdefault(letter, []).append(pos)
+    count = prod(factorial(len(s)) for s in slots.values())
+    if count > MAX_WORD_PERMUTATIONS:
+        raise ValueError(
+            f"the block of words {','.join(map(str, i))} and {','.join(map(str, j))} "
+            f"has {count} permutations (the product of d_v!), above the bound of "
+            f"{MAX_WORD_PERMUTATIONS}"
+        )
+    return _walk_permutations(Q, i, slots)
+
+
+def _walk_permutations(Q: Quiver, i: tuple[int, ...], slots: dict):
+    n = len(i)
     letters = sorted(slots)
     positions = {a: [k for k, b in enumerate(i) if b == a] for a in letters}
     cost = [[-cartan(Q, a, b) for b in i] for a in i]

@@ -148,9 +148,10 @@ _TWO_GENS = [[[0, 0], 0, 0], [[0, 0], 0, 1]]
     ({"handle": "nilhecke:2", "generators": _TWO_GENS,
       "differential": [[1, 0, "(" * 400 + "x1" + ")" * 400]]}, "validate"),
     ({"handle": "klr:A2:1,1,1", "generators": [[[0, 1], 0, 0]]}, "validate"),
+    ({"handle": "nilhecke:12", "generators": [[[0] * 12, 0, 0]]}, "validate"),
 ], ids=["missing-handle", "json-list", "crossing-out-of-range",
         "zero-denominator", "entry-out-of-range", "deep-parentheses",
-        "dimension-vector-of-wrong-length"])
+        "dimension-vector-of-wrong-length", "handle-past-the-input-bound"])
 def test_complex_bad_input_ends_in_one_error_line(capsys, tmp_path, doc, op):
     path = tmp_path / "c.json"
     path.write_text(json.dumps(doc))
@@ -305,22 +306,55 @@ def test_out_of_domain_inputs_are_refused(capsys, argv):
 
 
 def test_gdim_table_refuses_too_many_blocks_before_any_work(capsys):
-    # A3 (3,3,3) has 64,324 compositions (about 4.1e9 blocks) and 1,680
-    # words; both are counted, not enumerated, and refused at once
+    # A3 (3,3,3) has 64,324 compositions (about 4.1e9 blocks), at least
+    # 2^8 by cutting one word into runs, and 1,680 words; none is
+    # enumerated, and both tables are refused at once
     t0 = time.monotonic()
-    for extra, blocks in ((["--all-comps"], 64324**2), ([], 1680**2)):
+    for extra, blocks in ((["--all-comps"], "at least 4^8 blocks"), ([], str(1680**2))):
         code = main(["gdim-table", "--quiver", "A3", "--dim", "3,3,3"] + extra)
         captured = capsys.readouterr()
         assert code == 1
         assert captured.out == ""
         assert captured.err.startswith("error: ")
         assert captured.err.count("\n") == 1
-        assert str(blocks) in captured.err
+        assert blocks in captured.err
         assert str(cli.MAX_TABLE_BLOCKS) in captured.err
     assert time.monotonic() - t0 < 1.0
     # the largest tables in use stay allowed: 1,936 and 8,100 blocks
     assert count_compositions(DimVector((1, 2, 1))) ** 2 <= cli.MAX_TABLE_BLOCKS
     assert multinomial(DimVector((2, 2, 2))) ** 2 <= cli.MAX_TABLE_BLOCKS
+
+
+def test_gdim_table_all_comps_refusal_skips_the_exact_count(capsys, monkeypatch):
+    # 2^999 compositions at least: the lower bound refuses, so the exact
+    # count (31 s at this size) is never called
+    def boom(d):
+        raise AssertionError("count_compositions called")
+
+    monkeypatch.setattr(cli, "count_compositions", boom)
+    code = main(["gdim-table", "--quiver", "A1", "--dim", "1000", "--all-comps"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+    assert "4^999" in captured.err
+
+
+@pytest.mark.parametrize("mode", ["alg", "compare"])
+def test_gdim_refuses_a_block_past_the_permutation_bound(capsys, mode):
+    # nine equal letters: 9! = 362,880 permutations, refused before the walk
+    word = ",".join("0" * 9)
+    t0 = time.monotonic()
+    code = main(["gdim", "--quiver", "A1", "--dim", "9", "--mode", mode,
+                 "--word-i", word, "--word-j", word, "--trunc", "4"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+    assert "362880" in captured.err and "40320" in captured.err
+    assert time.monotonic() - t0 < 1.0
 
 
 def test_gdim_table_of_one_long_word_is_quick(capsys):

@@ -23,6 +23,7 @@ import random
 
 import pytest
 
+from quiverchow import homotopy
 from quiverchow.homotopy import (
     ChainMap,
     GradedComplex,
@@ -77,6 +78,25 @@ def test_parse_handle_accepts_corpus_and_rejects_garbage():
                 "klr:A2:1,1,1", "klr:A2:0,0,3"):
         with pytest.raises(ValueError):
             parse_handle(bad)
+
+
+def test_parse_handle_refuses_a_handle_past_the_input_bound(monkeypatch):
+    # words x n! is computed from the spec; nothing is built for a refusal
+    def boom(*args):
+        raise AssertionError("inputs built before the size check")
+
+    monkeypatch.setattr(homotopy, "content_words", boom)
+    monkeypatch.setattr(itertools, "permutations", boom)
+    monkeypatch.setattr(itertools, "product", boom)
+    for spec, size in (("nilhecke:12", 479001600),
+                       ("klr:A3:3,3,3", 1680 * 362880),
+                       ("smash:12", 479001600)):
+        with pytest.raises(ValueError, match=f"needs {size} inputs") as err:
+            parse_handle(spec)
+        assert str(homotopy.MAX_HANDLE_INPUTS) in str(err.value)
+    # nilhecke:8 (40,320 inputs) is the largest nil Hecke handle allowed
+    assert homotopy.MAX_HANDLE_INPUTS == 40320
+    homotopy._check_handle_size("nilhecke:8", 1, 8)
 
 
 def test_parse_element_expressions():

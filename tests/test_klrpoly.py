@@ -16,12 +16,15 @@ partition counts with parts of size at most $n$.
 
 from __future__ import annotations
 
+import hashlib
 import random
+import re
 from fractions import Fraction
 from itertools import permutations
 
 import pytest
 
+from quiverchow import klrpoly
 from quiverchow.klrpoly import (
     KLROperator,
     LabeledPoly,
@@ -276,6 +279,49 @@ def test_relation_suite_covers_expected_families():
     assert "degree-homogeneity" in names
     assert any("mixed" in n for n in names)
     assert "psi-square" in names
+
+
+# SHA-256 of the inputs relation_suite drew as {word: Poly} before the
+# draws went straight into flat maps, with the generator state after each
+_DRAW_DIGEST = "f7d8a6b4addd6cedad025f9bed2677ef7f42a341edf738e5ec19b3226461c902"
+
+
+def test_flat_draws_are_the_pinned_inputs():
+    families = ("idempotents", "x-commute", "label-exchange", "mixed-left",
+                "mixed-right", "psi-square", "x-distant", "braid", "psi-distant")
+    h = hashlib.sha256()
+    for spec, d in (("A2", (1, 1)), ("A3", (1, 2, 1)), ("cyclic:2", (2, 1)),
+                    ("cyclic:3", (1, 1, 2))):
+        words = content_words(parse_quiver(spec), DimVector(d))
+        for seed in (0, 1):
+            for name in families:
+                for t in range(8):
+                    rng = random.Random(f"{seed}:{name}:{t}")
+                    flat = klrpoly._rand_flat(rng, sum(d), words)
+                    h.update(repr((sorted(flat.items()), rng.getstate())).encode())
+    assert h.hexdigest() == _DRAW_DIGEST
+
+
+def test_relation_suite_catches_a_flipped_arrow_factor(monkeypatch):
+    # the wrong convention: (x_{r+1} - x_r) per arrow instead of (x_r - x_{r+1})
+    real_act = klrpoly._act
+
+    def flipped(Q, atom, flat):
+        if atom[0] == "psi":
+            k = atom[1] - 1
+            flat = {
+                (w, e): -c if w[k] != w[k + 1] and Q.arrow_count(w[k], w[k + 1]) % 2 else c
+                for (w, e), c in flat.items()
+            }
+        return real_act(Q, atom, flat)
+
+    assert relation_suite(A2, DimVector((2, 1)), trials=12, seed=0).ok
+    monkeypatch.setattr(klrpoly, "_act", flipped)
+    for d, name in (((1, 1), "psi-square"), ((2, 1), "psi-square"), ((2, 1), "braid")):
+        report = relation_suite(A2, DimVector(d), trials=12, seed=0)
+        verdict = next(v for v in report.verdicts if v.name == name)
+        assert verdict.failures > 0
+        assert re.match(r"trial \d+: ", verdict.witness)
 
 
 def test_faithfulness_rank_of_low_degree_operators():

@@ -29,6 +29,7 @@ from quiverchow.quiver import (
     parse_dimvector,
     parse_quiver,
     parse_word,
+    permutation_degrees,
     unit_vector,
 )
 
@@ -175,3 +176,14 @@ def test_dim_qvariety_adds_arrow_positions():
 def test_parse_word():
     assert parse_word("0,1,0") == (0, 1, 0)
     assert parse_word("") == ()
+
+
+def test_permutation_degrees_refuses_a_long_walk_before_it_starts():
+    A1 = parse_quiver("A1")
+    with pytest.raises(ValueError, match="362880 permutations"):
+        permutation_degrees(A1, (0,) * 9, (0,) * 9)
+    # at the bound the walk is handed back, not started
+    permutation_degrees(A1, (0,) * 8, (0,) * 8)
+    # equal letters only are permuted: A3 (2,2,2) walks 2!^3 = 8
+    A3 = parse_quiver("A3")
+    assert len(list(permutation_degrees(A3, (0, 0, 1, 1, 2, 2), (2, 1, 0, 2, 1, 0)))) == 8
