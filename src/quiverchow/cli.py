@@ -20,7 +20,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .extalg import compare_block, gdim_alg_klr, gdim_geo
+from .extalg import Strata, compare_block, gdim_alg_klr, gdim_geo
 from .homotopy import (
     complex_from_json,
     complex_to_json,
@@ -73,6 +73,15 @@ MAX_TRUNC = 1000
 # compositions; a larger table is refused before any composition is built.
 MAX_TABLE_BLOCKS = 10_000
 
+# count: --q above this is refused before the primality test, whose trial
+# division grows with q.
+MAX_Q = 10**6
+
+# count enumerates the graded subspaces of each flag step over F_q; a flag
+# type with more graded flags in the ambient space than this (the product
+# of Gaussian binomials at q in `_flag_bound`) is refused before any work.
+MAX_COUNT_FLAGS = 100_000
+
 
 class _Parser(argparse.ArgumentParser):
     """argparse with usage failures mapped to exit code 1."""
@@ -84,7 +93,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _jsonable(v):
-    if isinstance(v, Fraction):
+    if type(v) is Fraction:
         return str(v)
     return v
 
@@ -152,7 +161,8 @@ def build_parser() -> argparse.ArgumentParser:
     _quiver_flags(p)
     p.add_argument("--rep", required=True)
     p.add_argument("--comp", required=True)
-    p.add_argument("--q", type=int, default=2, help="prime field size")
+    p.add_argument("--q", type=_int_at_least(2, MAX_Q), default=2,
+                   help=f"prime field size (at most {MAX_Q})")
     _shared_flags(p)
 
     p = sub.add_parser("gdim", help="graded dimension of one block")
@@ -257,11 +267,42 @@ def cmd_paving(args) -> tuple[int, str]:
     return 0, _dumps(doc)
 
 
+def _flag_bound(comp: Composition, q: int) -> int | None:
+    """The graded flags of type comp in the ambient space over F_q: the
+    product over steps and vertices of the Gaussian binomials [r_v choose
+    s_v]_q, r_v the dimension left at v before the step and s_v its size.
+    It bounds the subspaces the oracle enumerates.  None once the product
+    is known to exceed MAX_COUNT_FLAGS; [r choose s]_q >= q^(s(r-s)) stops
+    that before any large factor is formed."""
+    remaining = list(comp.target)
+    total = 1
+    for part in comp.parts:
+        for v, s in enumerate(part):
+            r = remaining[v]
+            remaining[v] -= s
+            s = min(s, r - s)
+            if s * (r - s) >= MAX_COUNT_FLAGS.bit_length():
+                return None
+            num = den = 1
+            for t in range(s):
+                num *= q ** (r - t) - 1
+                den *= q ** (t + 1) - 1
+            total *= num // den
+            if total > MAX_COUNT_FLAGS:
+                return None
+    return total
+
+
 def cmd_count(args) -> tuple[int, str]:
     Q = parse_quiver(args.quiver)
     d = parse_dimvector(args.dim)
     M = _parse_rep(Q, d, args.rep)
     comp = parse_composition(args.comp, Q.n)
+    if _flag_bound(comp, args.q) is None:
+        raise ValueError(
+            f"flags of type {comp} over F_{args.q} number more than {MAX_COUNT_FLAGS} "
+            f"(a product of Gaussian binomials at q), above the bound of count"
+        )
     if not is_prime(args.q):
         raise ValueError(f"--q must be prime, got {args.q}")
     n = count_points(Q, M, comp, args.q)
@@ -360,17 +401,22 @@ def cmd_gdim_table(args) -> tuple[int, str]:
         comps = enumerate_compositions(d)
     else:
         comps = enumerate_complete_comps(Q, d)
-    pairs = [(ci, cj) for ci in comps for cj in comps]
-    pairs.sort(key=lambda p: (str(p[0]), str(p[1])))
+    # blocks in the order of (str(i), str(j)); the names are distinct
+    named = sorted(((str(c), c) for c in comps), key=lambda nc: nc[0])
+    # one stratification per table, every row filled before the fan-out
+    strata = Strata(Q, d)
+    for _, c in named:
+        strata.row(c)
+    pairs = [(i, j) for i in named for j in named]
 
     def one(pair):
-        ci, cj = pair
-        return gdim_geo(Q, d, ci, cj, N)
+        (_, ci), (_, cj) = pair
+        return gdim_geo(Q, d, ci, cj, N, strata)
 
     series_list = _fan_out(one, pairs, args.threads)
     blocks = [
-        {"i": str(ci), "j": str(cj), "series": _series_json(s)}
-        for (ci, cj), s in zip(pairs, series_list)
+        {"i": ni, "j": nj, "series": _series_json(s)}
+        for ((ni, _), (nj, _)), s in zip(pairs, series_list)
     ]
     if args.format == "table":
         lines = [f"[{b['i']} | {b['j']}]  " + _series_str(b) for b in blocks]
@@ -626,10 +672,11 @@ def klr_block_check(Q: Quiver, d: DimVector, trunc: int):
     words = content_words(Q, d)
 
     def check():
+        strata = Strata(Q, d)
         geo_cache = {}
         for i in words:
             for j in words:
-                rep = compare_block(Q, d, i, j, trunc)
+                rep = compare_block(Q, d, i, j, trunc, strata)
                 if not rep.normalized_match:
                     return False, (
                         f"block ({i},{j}) mismatch at "

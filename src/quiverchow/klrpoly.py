@@ -288,6 +288,7 @@ def _act(Q: Quiver, atom: tuple, flat: dict) -> dict:
     if kind != "psi":
         raise ValueError(f"unknown atom {atom!r}")
     k = arg - 1  # crossing of the 0-based positions k, k+1
+    arrow_table = Q.arrow_table
     out: dict = {}
     for (w, e), c in flat.items():
         v, u = w[k], w[k + 1]
@@ -306,7 +307,7 @@ def _act(Q: Quiver, atom: tuple, flat: dict) -> dict:
             # swap letters and exponents, then one factor (x_r - x_{r+1})
             # per arrow v -> u, expanded binomially
             sw = w[:k] + (u, v) + w[k + 2:]
-            arrows = Q.arrow_count(v, u)
+            arrows = arrow_table[v][u]
             for j in range(arrows + 1):
                 key = (sw, head + (q + arrows - j, p + j) + tail)
                 out[key] = out.get(key, 0) + (-1) ** j * comb(arrows, j) * c

@@ -48,6 +48,12 @@ class Quiver:
             return 1 if (v + 1) % self.n == w else 0
         return 1 if w == v + 1 else 0
 
+    @functools.cached_property
+    def arrow_table(self) -> tuple[tuple[int, ...], ...]:
+        """arrow_table[v][w] is arrow_count(v, w), built once per quiver and
+        read without vertex checks: for hot loops over validated labels."""
+        return tuple(tuple(self.arrow_count(v, w) for w in self.vertices) for v in self.vertices)
+
     def arrows(self) -> list[tuple[int, int]]:
         """All arrows as (source, target) pairs."""
         if self.cyclic:

@@ -22,7 +22,7 @@ import quiverchow
 from quiverchow import cli
 from quiverchow.cli import main
 from quiverchow.homotopy import complex_to_json, parse_handle, random_complex
-from quiverchow.quiver import DimVector, count_compositions, multinomial
+from quiverchow.quiver import DimVector, count_compositions, multinomial, parse_composition
 
 
 def run_cli(capsys, *argv: str) -> tuple[int, str]:
@@ -339,6 +339,56 @@ def test_gdim_table_all_comps_refusal_skips_the_exact_count(capsys, monkeypatch)
     assert captured.err.startswith("error: ")
     assert captured.err.count("\n") == 1
     assert "4^999" in captured.err
+
+
+def _no_count_work(monkeypatch):
+    def boom(*args):
+        raise AssertionError("count did work before refusing")
+
+    monkeypatch.setattr(cli, "is_prime", boom)
+    monkeypatch.setattr(cli, "count_points", boom)
+
+
+def test_count_refuses_a_huge_q_before_the_primality_test(capsys, monkeypatch):
+    # trial division of this prime was still running after 10 s
+    _no_count_work(monkeypatch)
+    t0 = time.monotonic()
+    code = main(["count", "--quiver", "A1", "--dim", "1", "--rep", "(0,1)",
+                 "--comp", "1", "--q", "1000000000000000003"])
+    captured = capsys.readouterr()
+    assert time.monotonic() - t0 < 1.0
+    assert code == 1
+    assert captured.out == ""
+    last = captured.err.splitlines()[-1]
+    assert "error: argument --q" in last and str(cli.MAX_Q) in last
+    assert captured.err.count("error:") == 1
+
+
+def test_count_refuses_too_many_flags_before_any_work(capsys, monkeypatch):
+    # [3]_q! = (1 + q)(1 + q + q^2), about 10^12 flags at q = 10007
+    _no_count_work(monkeypatch)
+    t0 = time.monotonic()
+    code = main(["count", "--quiver", "cyclic:1", "--dim", "3",
+                 "--rep", "(0,1)+(0,1)+(0,1)", "--comp", "1;1;1", "--q", "10007"])
+    captured = capsys.readouterr()
+    assert time.monotonic() - t0 < 1.0
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+    assert str(cli.MAX_COUNT_FLAGS) in captured.err
+
+
+def test_count_flag_bound_is_the_gaussian_binomial_product():
+    # [3]_3! = 1 * 4 * 13; [2 choose 1]_5 at vertex 0, then 1s
+    assert cli._flag_bound(parse_composition("1;1;1", 1), 3) == 52
+    assert cli._flag_bound(parse_composition("1,1;1,0", 2), 5) == 6
+    assert cli._flag_bound(parse_composition("", 1), 5) == 1
+    # [4 choose 2]_17 = 89,030 is the largest two-step type allowed at n = 4
+    assert cli._flag_bound(parse_composition("2;2", 1), 17) == 89_030
+    assert cli._flag_bound(parse_composition("2;2", 1), 19) is None
+    # one part needs no enumeration, however large
+    assert cli._flag_bound(parse_composition("1000", 1), 999_983) == 1
 
 
 @pytest.mark.parametrize("mode", ["alg", "compare"])

@@ -16,6 +16,8 @@ block carries $S(V) \\rtimes k[S_n]$ with $n!\\,(1-u^2)^{-n}$.
 
 from __future__ import annotations
 
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from itertools import permutations
 
 import pytest
@@ -23,6 +25,7 @@ import pytest
 from quiverchow.extalg import (
     BlockKey,
     GdimReport,
+    Strata,
     compare_block,
     gdim_alg_klr,
     gdim_geo,
@@ -163,6 +166,66 @@ def test_block_key_requires_matching_targets():
         BlockKey("A1", DimVector((2,)), a, parse_composition("1;1;1", 1))
 
 
+def test_shared_strata_refuse_a_composition_not_refining_d():
+    d = DimVector((2,))
+    strata = Strata(A1, d)
+    ok = parse_composition("1;1", 1)
+    gdim_geo(A1, d, ok, ok, 8, strata)
+    for bad in ("1", "1;1;1", "3"):
+        with pytest.raises(ValueError, match="does not refine"):
+            gdim_geo(A1, d, parse_composition(bad, 1), ok, 8, strata)
+        with pytest.raises(ValueError, match="does not refine"):
+            gdim_geo(A1, d, ok, parse_composition(bad, 1), 8, strata)
+    # a refused composition leaves no row behind
+    assert list(strata._rows) == [ok]
+
+
+def test_strata_of_another_dimension_vector_are_refused():
+    strata = Strata(A1, DimVector((2,)))
+    c = parse_composition("1;1;1", 1)
+    with pytest.raises(ValueError, match="strata of"):
+        gdim_geo(A1, DimVector((3,)), c, c, 8, strata)
+    with pytest.raises(ValueError, match="strata of"):
+        gdim_geo(LOOP, DimVector((2,)), c, c, 8, strata)
+
+
+def test_strata_fill_orbit_data_only_where_a_block_reaches():
+    # A2 (1,1) has two strata, the semisimple one and the indecomposable
+    # (1,2); the word (0,1) has an empty paving on (1,2), so its block
+    # alone never needs the orbit data of (1,2)
+    strata = Strata(A2, D11)
+    up = Composition.from_word((0, 1), 2)
+    gdim_geo(A2, D11, up, up, 8, strata)
+    assert [str(M) for M in strata.reps] == ["(0,1)+(1,1)", "(1,2)"]
+    assert sorted(strata._orbits) == [0]
+    dn = Composition.from_word((1, 0), 2)
+    gdim_geo(A2, D11, dn, dn, 8, strata)
+    assert sorted(strata._orbits) == [0, 1]
+
+
+def test_one_strata_object_serves_many_threads():
+    # more threads than cores fill and read one Strata, with a short switch
+    # interval; every block equals its value from a fresh object
+    Q = parse_quiver("cyclic:2")
+    d = DimVector((2, 1))
+    comps = enumerate_compositions(d)
+    pairs = [(ci, cj) for ci in comps for cj in comps]
+    want = [gdim_geo(Q, d, ci, cj, 12) for ci, cj in pairs]
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            strata = Strata(Q, d)
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                got = list(pool.map(
+                    lambda p: gdim_geo(Q, d, p[0], p[1], 12, strata), pairs, timeout=60
+                ))
+            assert got == want
+            assert len(strata._rows) == len(comps)
+    finally:
+        sys.setswitchinterval(old)
+
+
 def test_gdim_alg_rejects_mismatched_content():
     for i, j in (((0, 1), (0, 0)), ((0, 0), (0, 0))):
         with pytest.raises(ValueError):
@@ -226,14 +289,18 @@ def test_blocks_equal_series_multiplication_reference(spec, dims):
     # every block over all compositions (geometric side) and every pair of
     # words (algebraic side) equals the series-product formula, as values:
     # the same coefficients and the same truncation order
+    # with one Strata shared by every block of d and with a fresh one each
     Q = parse_quiver(spec)
     for d in map(DimVector, dims):
         comps = enumerate_compositions(d)
+        shared = Strata(Q, d)
         for N in (2, 24):
             for ci in comps:
                 for cj in comps:
-                    got = gdim_geo(Q, d, ci, cj, N)
-                    assert got == _geo_by_series_mul(Q, d, ci, cj, N), (d, str(ci), str(cj), N)
+                    want = _geo_by_series_mul(Q, d, ci, cj, N)
+                    assert gdim_geo(Q, d, ci, cj, N) == want, (d, str(ci), str(cj), N)
+                    got = gdim_geo(Q, d, ci, cj, N, shared)
+                    assert got == want, ("shared", d, str(ci), str(cj), N)
         words = [c.word() for c in enumerate_complete_comps(Q, d)]
         for N in (-1, 2, 24):
             for i in words:

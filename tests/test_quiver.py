@@ -52,6 +52,19 @@ def test_parse_quiver_linear_and_cyclic():
     assert loop.arrow_count(0, 0) == 1
 
 
+@pytest.mark.parametrize("spec", ["A1", "A3", "cyclic:1", "cyclic:2", "cyclic:3"])
+def test_arrow_table_agrees_with_checked_arrow_count(spec):
+    Q = parse_quiver(spec)
+    assert Q.arrow_table == tuple(
+        tuple(Q.arrow_count(v, w) for w in Q.vertices) for v in Q.vertices
+    )
+    assert Q.arrow_table is Q.arrow_table
+    # the public lookup still refuses a vertex out of range
+    for v, w in ((Q.n, 0), (0, -1)):
+        with pytest.raises(ValueError):
+            Q.arrow_count(v, w)
+
+
 def test_parse_quiver_rejects_garbage():
     for bad in ("A0", "B2", "cyclic:0", "cyclic:x", "", "A"):
         with pytest.raises(ValueError):

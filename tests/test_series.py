@@ -160,3 +160,25 @@ def test_times_bgl_edge_cases():
     assert times_bgl({1: 1}, [1], 7) == {1: 1, 3: 1, 5: 1, 7: 1}
     # bgl(2) counts partitions into parts <= 2
     assert times_bgl({0: 1}, [2], 10) == {0: 1, 2: 1, 4: 2, 6: 2, 8: 3, 10: 3}
+
+
+def test_times_bgl_is_linear_in_the_polynomial():
+    # gdim_geo sums the strata that share bgl exponents before one
+    # times_bgl, which is exact because the product is linear
+    rng = random.Random(7)
+
+    def add(x, y):
+        out = dict(x)
+        for e, c in y.items():
+            out[e] = out.get(e, 0) + c
+        return {e: c for e, c in out.items() if c}
+
+    for _ in range(40):
+        a = {rng.randint(-10, 6): rng.randint(-4, 4) or 1 for _ in range(rng.randint(1, 5))}
+        b = {rng.randint(-10, 6): rng.randint(-4, 4) or 1 for _ in range(rng.randint(1, 5))}
+        low = min(min(a), min(b))
+        for ms in ([], [1], [2, 1], [3, 1, 1]):
+            for N in (low - 3, low - 1, low, low + 1, 0, 5, 18):
+                assert times_bgl(add(a, b), ms, N) == add(
+                    times_bgl(a, ms, N), times_bgl(b, ms, N)
+                ), (a, b, ms, N)
