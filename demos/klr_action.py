@@ -18,7 +18,6 @@ from quiverchow.klrpoly import (
     LabeledPoly,
     Poly,
     SmashElement,
-    act,
     relation_suite,
     smash_center_dims,
     smash_mul,
@@ -33,17 +32,17 @@ def main() -> None:
     print("== single generator actions ==")
     f = LabeledPoly.from_poly((0, 0), Poly.x(2, 1).mul(Poly.x(2, 1)))
     psi = KLROperator.psi(A1, 2, 1)
-    out = act(psi, f)
+    out = psi.apply(f)
     print(f"  psi_1 . (x1^2 . 1_(0,0)) = {out}")
     g = LabeledPoly.from_poly((0, 1), Poly.one(2))
-    crossed = act(KLROperator.psi(A2, 2, 1), g)
+    crossed = KLROperator.psi(A2, 2, 1).apply(g)
     print(f"  psi_1 . (1 . 1_(0,1))   = {crossed}   (crossing the arrow)")
-    back = act(KLROperator.psi(A2, 2, 1), LabeledPoly.from_poly((1, 0), Poly.one(2)))
+    back = KLROperator.psi(A2, 2, 1).apply(LabeledPoly.from_poly((1, 0), Poly.one(2)))
     print(f"  psi_1 . (1 . 1_(1,0))   = {back}   (with the arrow, free)")
 
     print()
     print("== psi squares to zero on equal labels ==")
-    twice = act(psi, act(psi, LabeledPoly.from_poly((0, 0), Poly.x(2, 1))))
+    twice = psi.apply(psi.apply(LabeledPoly.from_poly((0, 0), Poly.x(2, 1))))
     print(f"  psi_1^2 . (x1 . 1_(0,0)) = {twice or '0'}")
 
     print()

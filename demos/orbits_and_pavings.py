@@ -13,7 +13,7 @@ Run:  python3 demos/orbits_and_pavings.py
 from __future__ import annotations
 
 from quiverchow.nilrep import enumerate_nilreps, orbit_dim, parse_multisegment
-from quiverchow.paving import count_points, paving_cells, poincare
+from quiverchow.paving import count_points, paving_cells
 from quiverchow.quiver import DimVector, enumerate_compositions, parse_composition, parse_quiver
 
 
@@ -30,19 +30,18 @@ def main() -> None:
     M = parse_multisegment("(0,2)+(0,1)")
     comp = parse_composition("1;1;1", 1)
     cells = paving_cells(LOOP, M, comp)
-    P = poincare(LOOP, M, comp)
     print(f"  cells by dimension: {sorted(cells.dims)}")
-    print(f"  poincare: {P.as_dict()}")
+    print(f"  poincare: {dict(cells.counts)}")
     for q in (2, 3, 5):
         brute = count_points(LOOP, M, comp, q)
-        print(f"  |Fl(F_{q})| = {brute}, polynomial predicts {P.evaluate(q)}")
+        print(f"  |Fl(F_{q})| = {brute}, polynomial predicts {cells.evaluate(q)}")
 
     print()
     print("== every flag type of the regular class ==")
     reg = parse_multisegment("(0,3)")
     for comp in enumerate_compositions(d):
-        P = poincare(LOOP, reg, comp)
-        print(f"  type {str(comp):8s} poincare {P.as_dict()}")
+        cells = paving_cells(LOOP, reg, comp)
+        print(f"  type {str(comp):8s} poincare {dict(cells.counts)}")
     print("  (only the complete type admits a stable flag, the kernel")
     print("   filtration, so every coarser flag variety paves empty)")
 

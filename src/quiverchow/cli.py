@@ -45,14 +45,13 @@ from .nilrep import (
     orbit_dim,
     parse_multisegment,
 )
-from .paving import count_points, is_prime, paving_cells, poincare
+from .paving import count_points, is_prime, paving_cells
 from .quiver import (
     Composition,
     DimVector,
     Quiver,
     content_words,
     count_compositions,
-    dim_qvariety,
     enumerate_complete_comps,
     enumerate_compositions,
     multinomial,
@@ -78,8 +77,8 @@ MAX_TABLE_BLOCKS = 10_000
 MAX_Q = 10**6
 
 # count enumerates the graded subspaces of each flag step over F_q; a flag
-# type with more graded flags in the ambient space than this (the product
-# of Gaussian binomials at q in `_flag_bound`) is refused before any work.
+# type whose bound from M (the product of Gaussian binomials at q in
+# `_flag_bound`) exceeds this is refused before any work.
 MAX_COUNT_FLAGS = 100_000
 
 
@@ -128,14 +127,19 @@ def _int_at_least(low: int, high: int | None = None):
     return parse
 
 
-def _shared_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--trunc", type=_int_at_least(0, MAX_TRUNC), default=DEFAULT_TRUNC,
-                   help=f"series truncation exponent in u (default 24, "
-                        f"at most {MAX_TRUNC})")
+def _shared_flags(p: argparse.ArgumentParser, *names: str) -> None:
+    """--format, plus those of --trunc, --threads and --seed that `names`
+    lists; a subcommand registers only the shared flags it reads."""
+    if "trunc" in names:
+        p.add_argument("--trunc", type=_int_at_least(0, MAX_TRUNC), default=DEFAULT_TRUNC,
+                       help=f"series truncation exponent in u (default 24, "
+                            f"at most {MAX_TRUNC})")
     p.add_argument("--format", choices=("json", "table"), default="json")
-    p.add_argument("--threads", type=_int_at_least(1), default=1,
-                   help="worker pool size for independent cases")
-    p.add_argument("--seed", type=int, default=0)
+    if "threads" in names:
+        p.add_argument("--threads", type=_int_at_least(1), default=1,
+                       help="worker pool size for independent cases")
+    if "seed" in names:
+        p.add_argument("--seed", type=int, default=0)
 
 
 def _quiver_flags(p: argparse.ArgumentParser) -> None:
@@ -172,18 +176,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--word-j", help='complete word, e.g. "1,0"')
     p.add_argument("--comp-i", help="composition (geo mode only)")
     p.add_argument("--comp-j", help="composition (geo mode only)")
-    _shared_flags(p)
+    _shared_flags(p, "trunc")
 
     p = sub.add_parser("gdim-table", help="geometric series for every block")
     _quiver_flags(p)
     p.add_argument("--all-comps", action="store_true",
                    help="all compositions, not only complete ones")
-    _shared_flags(p)
+    _shared_flags(p, "trunc", "threads")
 
     p = sub.add_parser("klr-selftest", help="relation suite on one algebra")
     _quiver_flags(p)
     p.add_argument("--trials", type=_int_at_least(1), default=100)
-    _shared_flags(p)
+    _shared_flags(p, "seed")
 
     p = sub.add_parser("complex", help="operate on a JSON chain complex")
     p.add_argument("--handle",
@@ -202,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="relation trials per family")
     p.add_argument("--count", type=_int_at_least(1), default=200,
                    help="homotopy corpus size per handle")
-    _shared_flags(p)
+    _shared_flags(p, "trunc", "threads", "seed")
 
     return parser
 
@@ -251,9 +255,8 @@ def cmd_paving(args) -> tuple[int, str]:
     M = _parse_rep(Q, d, args.rep)
     comp = parse_composition(args.comp, Q.n)
     cells = paving_cells(Q, M, comp)
-    P = poincare(Q, M, comp)
     if args.format == "table":
-        return 0, f"cells: {list(cells.dims)}\npoincare: {P}\neuler: {P.cell_count}"
+        return 0, f"cells: {list(cells.dims)}\npoincare: {cells}\neuler: {cells.cell_count}"
     doc = {
         "schema": "paving/1",
         "quiver": str(Q),
@@ -261,30 +264,41 @@ def cmd_paving(args) -> tuple[int, str]:
         "rep": str(M),
         "comp": str(comp),
         "cells": list(cells.dims),
-        "poincare": {str(e): c for e, c in P.coefficients},
-        "euler": P.cell_count,
+        "poincare": {str(e): c for e, c in cells.counts},
+        "euler": cells.cell_count,
     }
     return 0, _dumps(doc)
 
 
-def _flag_bound(comp: Composition, q: int) -> int | None:
-    """The graded flags of type comp in the ambient space over F_q: the
-    product over steps and vertices of the Gaussian binomials [r_v choose
-    s_v]_q, r_v the dimension left at v before the step and s_v its size.
-    It bounds the subspaces the oracle enumerates.  None once the product
-    is known to exceed MAX_COUNT_FLAGS; [r choose s]_q >= q^(s(r-s)) stops
-    that before any large factor is formed."""
+def _flag_bound(M: Multisegment, comp: Composition, q: int) -> int | None:
+    """An upper bound on the flags of type comp in M over F_q, and on the
+    subspaces the oracle enumerates: the product over steps and vertices of
+    the Gaussian binomials [min(r_v, s) choose k_v]_q, with r_v the dimension
+    left at v before the step, k_v its size and s the number of segments of
+    M.  Each step is a subspace of the socle of a quotient of M, and that
+    socle has at most s lines: a nilpotent representation of a linear or
+    cyclic quiver has one socle line per summand, and a quotient of M has
+    at most as many summands as M, whose top has s lines.
+
+    0 at the first step that exceeds this (there is no flag, and the steps
+    before it were within the bound); None once the product is known to
+    exceed MAX_COUNT_FLAGS, where [r choose k]_q >= q^(k(r-k)) stops that
+    before any large factor is formed."""
     remaining = list(comp.target)
+    socle = len(M.segments)
     total = 1
     for part in comp.parts:
-        for v, s in enumerate(part):
-            r = remaining[v]
-            remaining[v] -= s
-            s = min(s, r - s)
-            if s * (r - s) >= MAX_COUNT_FLAGS.bit_length():
+        room = [min(r, socle) for r in remaining]
+        if any(k > r for k, r in zip(part, room)):
+            return 0
+        for v, k in enumerate(part):
+            r = room[v]
+            remaining[v] -= k
+            k = min(k, r - k)
+            if k * (r - k) >= MAX_COUNT_FLAGS.bit_length():
                 return None
             num = den = 1
-            for t in range(s):
+            for t in range(k):
                 num *= q ** (r - t) - 1
                 den *= q ** (t + 1) - 1
             total *= num // den
@@ -298,10 +312,11 @@ def cmd_count(args) -> tuple[int, str]:
     d = parse_dimvector(args.dim)
     M = _parse_rep(Q, d, args.rep)
     comp = parse_composition(args.comp, Q.n)
-    if _flag_bound(comp, args.q) is None:
+    if _flag_bound(M, comp, args.q) is None:
         raise ValueError(
-            f"flags of type {comp} over F_{args.q} number more than {MAX_COUNT_FLAGS} "
-            f"(a product of Gaussian binomials at q), above the bound of count"
+            f"flags of type {comp} in {M} over F_{args.q} may number more than "
+            f"{MAX_COUNT_FLAGS} (a product of Gaussian binomials at q), above the "
+            f"bound of count"
         )
     if not is_prime(args.q):
         raise ValueError(f"--q must be prime, got {args.q}")
@@ -348,22 +363,19 @@ def cmd_gdim(args) -> tuple[int, str]:
             lines = [f"gdim_alg[{i} | {j}] = {series}"]
         else:
             rep = compare_block(Q, d, i, j, N)
-            ci = Composition.from_word(i, Q.n)
-            cj = Composition.from_word(j, Q.n)
-            shift_exp = dim_qvariety(Q, cj) - dim_qvariety(Q, ci)
             doc.update({
                 "i": ",".join(map(str, i)),
                 "j": ",".join(map(str, j)),
                 "geometric": _series_json(rep.geometric),
                 "algebraic": _series_json(rep.algebraic),
-                "shift": shift_exp,
+                "shift": rep.shift,
                 "match": rep.normalized_match,
                 "first_discrepancy": rep.first_discrepancy,
             })
             lines = [
                 f"geometric: {rep.geometric}",
                 f"algebraic: {rep.algebraic}",
-                f"shift: u^{shift_exp}",
+                f"shift: u^{rep.shift}",
                 f"match: {rep.normalized_match}",
             ]
             if not rep.normalized_match:
@@ -594,9 +606,9 @@ def paving_oracle_cases(max_total: int = 4):
         Q = parse_quiver("cyclic:1")
         M = parse_multisegment("(0,2)+(0,1)")
         comp = parse_composition("1;1;1", 1)
-        P = poincare(Q, M, comp)
+        P = paving_cells(Q, M, comp)
         want = {(0, 1), (1, 2)}
-        got = set(P.coefficients)
+        got = set(P.counts)
         c2 = count_points(Q, M, comp, 2)
         c3 = count_points(Q, M, comp, 3)
         if got != want:
@@ -614,7 +626,7 @@ def paving_oracle_cases(max_total: int = 4):
                 for M in enumerate_nilreps(Q, d):
                     def check(Q=Q, d=d, M=M):
                         for comp in enumerate_compositions(d):
-                            P = poincare(Q, M, comp)
+                            P = paving_cells(Q, M, comp)
                             for q in (2, 3, 5):
                                 got = count_points(Q, M, comp, q)
                                 want = P.evaluate(q)
@@ -673,7 +685,7 @@ def klr_block_check(Q: Quiver, d: DimVector, trunc: int):
 
     def check():
         strata = Strata(Q, d)
-        geo_cache = {}
+        reports = {}
         for i in words:
             for j in words:
                 rep = compare_block(Q, d, i, j, trunc, strata)
@@ -682,14 +694,13 @@ def klr_block_check(Q: Quiver, d: DimVector, trunc: int):
                         f"block ({i},{j}) mismatch at "
                         f"u^{rep.first_discrepancy}"
                     )
-                geo_cache[(i, j)] = rep.geometric
-        dims = {w: dim_qvariety(Q, Composition.from_word(w, Q.n)) for w in words}
+                reports[(i, j)] = rep
         for i in words:
             for j in words:
-                shifted = geo_cache[(j, i)].mul(
-                    HalfLaurentSeries.monomial(2 * (dims[j] - dims[i]))
+                shifted = reports[(j, i)].geometric.mul(
+                    HalfLaurentSeries.monomial(2 * reports[(i, j)].shift)
                 )
-                gap = first_discrepancy(geo_cache[(i, j)], shifted)
+                gap = first_discrepancy(reports[(i, j)].geometric, shifted)
                 if gap is not None:
                     return False, (
                         f"transpose symmetry fails at ({i},{j}), u^{gap}"

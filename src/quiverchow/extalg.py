@@ -63,10 +63,12 @@ class BlockKey:
 
 @dataclass(frozen=True)
 class GdimReport:
-    """Outcome of comparing the two series for one complete block."""
+    """Outcome of comparing the two series for one complete block; `shift`
+    is the exponent of the normalization u^{d_j - d_i}."""
 
     geometric: HalfLaurentSeries
     algebraic: HalfLaurentSeries
+    shift: int
     normalized_match: bool
     first_discrepancy: int | None
 
@@ -209,7 +211,7 @@ def compare_block(
     alg = alg_wide.truncate(N)
     shifted = alg_wide.mul(HalfLaurentSeries.monomial(shift)).truncate(N)
     gap = first_discrepancy(geo, shifted)
-    return GdimReport(geo, alg, gap is None, gap)
+    return GdimReport(geo, alg, shift, gap is None, gap)
 
 
 def gdim_schur_table(

@@ -582,6 +582,18 @@ class GradedComplex:
     def cohdegs(self) -> list[int]:
         return sorted({g.cohdeg for g in self.generators})
 
+    def restrict(self, indices) -> "GradedComplex":
+        """The generators at `indices`, renumbered in that order, with the
+        entries between them."""
+        pos = {orig: new for new, orig in enumerate(indices)}
+        gens = [self.generators[k] for k in indices]
+        diff = {
+            (pos[row], pos[col]): el
+            for (row, col), el in self.diff.items()
+            if row in pos and col in pos
+        }
+        return GradedComplex(self.handle, gens, diff)
+
     def __len__(self) -> int:
         return len(self.generators)
 
@@ -727,20 +739,8 @@ def weight_truncate(
     cohomological degrees >= n+1, lower the degrees <= n, and inclusion the
     identity-entry chain map upper -> c."""
     upper_idx = [k for k, g in enumerate(c.generators) if g.cohdeg >= n + 1]
-    lower_idx = [k for k, g in enumerate(c.generators) if g.cohdeg <= n]
-
-    def restrict(indices: list[int]) -> GradedComplex:
-        pos = {orig: new for new, orig in enumerate(indices)}
-        gens = [c.generators[k] for k in indices]
-        diff = {
-            (pos[row], pos[col]): el
-            for (row, col), el in c.diff.items()
-            if row in pos and col in pos
-        }
-        return GradedComplex(c.handle, gens, diff)
-
-    upper = restrict(upper_idx)
-    lower = restrict(lower_idx)
+    upper = c.restrict(upper_idx)
+    lower = c.restrict([k for k, g in enumerate(c.generators) if g.cohdeg <= n])
     entries = {
         (orig, new): c.handle.unit(c.generators[orig].idem)
         for new, orig in enumerate(upper_idx)
@@ -757,9 +757,9 @@ def minimize(c: GradedComplex) -> GradedComplex:
     result has no invertible degree-zero entries and the same homotopy
     type."""
     h = c.handle
-    gens = list(c.generators)
-    diff = dict(c.diff)
+    c = GradedComplex(h, c.generators, c.diff)  # its own diff, updated in place
     while True:
+        gens, diff = c.generators, c.diff
         candidates = sorted(
             (
                 (gens[col].cohdeg, col, row)
@@ -790,14 +790,7 @@ def minimize(c: GradedComplex) -> GradedComplex:
                 corr = -(d_tp * inv * d_qs)
                 old = diff.get((t, s))
                 diff[(t, s)] = corr if old is None else old + corr
-        keep = [k for k in range(len(gens)) if k not in (p, q)]
-        remap = {orig: new for new, orig in enumerate(keep)}
-        gens = [gens[k] for k in keep]
-        diff = {
-            (remap[row], remap[col]): el
-            for (row, col), el in diff.items()
-            if row in remap and col in remap
-        }
+        c = c.restrict([k for k in range(len(gens)) if k not in (p, q)])
 
 
 def euler_symbol(c: GradedComplex) -> dict:
@@ -830,12 +823,8 @@ def complexes_equal(a: GradedComplex, b: GradedComplex) -> bool:
                 k,
             ),
         )
-        remap = {orig: new for new, orig in enumerate(order)}
-        gens = [c.generators[k] for k in order]
-        diff = {
-            (remap[row], remap[col]): el for (row, col), el in c.diff.items()
-        }
-        return gens, diff
+        r = c.restrict(order)
+        return r.generators, r.diff
 
     ga, da = canonical(a)
     gb, db = canonical(b)

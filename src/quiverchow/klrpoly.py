@@ -467,11 +467,6 @@ class KLROperator:
     __repr__ = __str__
 
 
-def act(op: KLROperator, m: LabeledPoly) -> LabeledPoly:
-    """Evaluate an operator on a labeled polynomial."""
-    return op.apply(m)
-
-
 def q_factor(Q: Quiver, n: int, v: int, u: int, r: int) -> Poly:
     """The polynomial Q_{vu}(x_r, x_{r+1}) appearing in the square of a
     crossing: one factor (x_{r+1} - x_r) per arrow v -> u and one factor

@@ -14,8 +14,10 @@ remaining steps.
 over a prime field and counts the flags by direct enumeration of graded
 subspaces, with no reference to the recursion.  For a variety paved by
 affine cells the point count over F_q equals the Poincare polynomial at q.
-Its kernels, pivots and coordinate solves are Gaussian elimination over
-F_q, done by `linalg` (the same routine that eliminates over Q elsewhere).
+Its kernels and echelon forms are Gaussian elimination over F_q, done by
+`linalg` (the same routine that eliminates over Q elsewhere); a quotient
+reads each image column's coordinates off after reducing it by the
+subspace's echelon rows, with no linear solve.
 Within one call it counts each literal quotient (the same matrices with the
 same remaining steps) once; that memo lives only for the call.
 """
@@ -25,7 +27,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .linalg import kernel_basis, rref_fractions, solve_exact
+from .linalg import kernel_basis, rref_fractions
 from .nilrep import Multisegment, quotient_by_socles, socle_basis
 from .quiver import Composition, DimVector, Quiver
 
@@ -34,7 +36,8 @@ from .quiver import Composition, DimVector, Quiver
 class CellSet:
     """Multiset of affine cell dimensions, stored as counts: (dim,
     multiplicity) pairs with ascending dim and positive multiplicity.  No
-    counts means the empty variety."""
+    counts means the empty variety.  They are also the coefficients of the
+    Poincare polynomial, which `evaluate` and `str` read."""
 
     counts: tuple[tuple[int, int], ...]
 
@@ -53,37 +56,21 @@ class CellSet:
     def __iter__(self):
         return iter(self.dims)
 
-
-@dataclass(frozen=True)
-class PoincarePolynomial:
-    """Generating polynomial of a CellSet: sum of q^dim over cells."""
-
-    coefficients: tuple[tuple[int, int], ...]  # (exponent, count), ascending
-
-    @staticmethod
-    def from_cells(cells: CellSet) -> "PoincarePolynomial":
-        return PoincarePolynomial(cells.counts)
-
     def evaluate(self, q: int) -> int:
-        return sum(c * q**e for e, c in self.coefficients)
-
-    @property
-    def cell_count(self) -> int:
-        return self.evaluate(1)
-
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.coefficients)
+        """The Poincare polynomial, sum of q^dim over cells, at q."""
+        return sum(m * q**d for d, m in self.counts)
 
     def __str__(self) -> str:
-        if not self.coefficients:
+        """The Poincare polynomial in q, e.g. "1 + 2*q + q^2"."""
+        if not self.counts:
             return "0"
         chunks = []
-        for e, c in self.coefficients:
-            if e == 0:
-                chunks.append(str(c))
+        for d, m in self.counts:
+            if d == 0:
+                chunks.append(str(m))
             else:
-                head = "" if c == 1 else f"{c}*"
-                chunks.append(f"{head}q" if e == 1 else f"{head}q^{e}")
+                head = "" if m == 1 else f"{m}*"
+                chunks.append(f"{head}q" if d == 1 else f"{head}q^{d}")
         return " + ".join(chunks)
 
 
@@ -152,10 +139,6 @@ def paving_cells(Q: Quiver, M: Multisegment, comp: Composition) -> CellSet:
     return CellSet(_cells(Q, M, comp.parts))
 
 
-def poincare(Q: Quiver, M: Multisegment, comp: Composition) -> PoincarePolynomial:
-    return PoincarePolynomial.from_cells(paving_cells(Q, M, comp))
-
-
 # ---------------------------------------------------------------------------
 # finite-field oracle
 
@@ -192,10 +175,6 @@ def _rref_matrices(k: int, m: int, p: int):
             for (i, j), val in zip(free_pos, values):
                 mat[i][j] = val
             yield mat
-
-
-def _mat_vec(mat: list[list[int]], vec: list[int], p: int) -> list[int]:
-    return [sum(a * b for a, b in zip(row, vec)) % p for row in mat]
 
 
 class _MatRep:
@@ -241,42 +220,33 @@ class _MatRep:
 
     def quotient(self, sub_bases: list[list[list[int]]]) -> "_MatRep":
         """Quotient by the graded subspace spanned by sub_bases (per-vertex
-        lists of vectors contained in the socle kernel)."""
+        lists of vectors contained in the socle kernel).
+
+        At each vertex the quotient keeps the standard basis vectors off the
+        pivot columns of the subspace's reduced echelon form.  An image
+        column reduced by the echelon rows is zero at every pivot column, so
+        its entries at the kept columns are its quotient coordinates."""
         p = self.p
-        new_dims = []
-        # per vertex: full basis = subspace vectors then the standard vectors
-        # off the subspace's pivot columns; images are solved in that basis
-        complements: list[list[list[int]]] = []
-        full_bases: list[list[list[int]]] = []
-        for v in self.Q.vertices:
-            sub = sub_bases[v]
-            d = self.dims[v]
-            _, pivots = rref_fractions(sub, p)
-            comp = [
-                [1 if i == j else 0 for i in range(d)]
-                for j in range(d)
-                if j not in pivots
-            ]
-            complements.append(comp)
-            full_bases.append([list(u) for u in sub] + comp)
-            new_dims.append(len(comp))
+        echelon = [rref_fractions(sub_bases[v], p) for v in self.Q.vertices]
+        keep = [
+            [j for j in range(self.dims[v]) if j not in echelon[v][1]]
+            for v in self.Q.vertices
+        ]
         new_mats = {}
         for (s, t), mat in self.mats.items():
+            rows_t, pivots_t = echelon[t]
             cols = []
-            k_t = len(sub_bases[t])
-            for cvec in complements[s]:
-                img = _mat_vec(mat, cvec, p)
-                if any(img):
-                    coords = solve_exact(full_bases[t], img, p)
-                    if coords is None:
-                        raise ValueError("vector outside the span")
-                else:
-                    coords = [0] * self.dims[t]
-                cols.append(coords[k_t:])
+            for j in keep[s]:
+                col = [row[j] for row in mat]
+                for row, pc in zip(rows_t, pivots_t):
+                    f = col[pc]
+                    if f:
+                        col = [(a - f * b) % p for a, b in zip(col, row)]
+                cols.append([col[i] for i in keep[t]])
             new_mats[(s, t)] = [
-                [cols[j][i] for j in range(new_dims[s])] for i in range(new_dims[t])
+                [col[i] for col in cols] for i in range(len(keep[t]))
             ]
-        return _MatRep(self.Q, new_dims, new_mats, p)
+        return _MatRep(self.Q, [len(k) for k in keep], new_mats, p)
 
 
 def _count_flags(

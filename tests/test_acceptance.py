@@ -25,7 +25,7 @@ import time
 from quiverchow import cli
 from quiverchow.klrpoly import smash_center_dims
 from quiverchow.nilrep import Segment, enumerate_nilreps, hom_dim, intertwiner_dim
-from quiverchow.paving import count_points, poincare
+from quiverchow.paving import count_points, paving_cells
 from quiverchow.quiver import DimVector, enumerate_compositions, parse_quiver
 
 
@@ -68,7 +68,7 @@ def test_paving_agrees_with_point_counts_at_total_five():
             comps = enumerate_compositions(dv)
             for M in enumerate_nilreps(Q, dv):
                 for comp in comps:
-                    P = poincare(Q, M, comp)
+                    P = paving_cells(Q, M, comp)
                     for q in (2, 3):
                         assert P.evaluate(q) == count_points(Q, M, comp, q), (
                             spec, str(M), str(comp), q)

@@ -22,7 +22,15 @@ import quiverchow
 from quiverchow import cli
 from quiverchow.cli import main
 from quiverchow.homotopy import complex_to_json, parse_handle, random_complex
-from quiverchow.quiver import DimVector, count_compositions, multinomial, parse_composition
+from quiverchow.nilrep import parse_multisegment, semisimple_class
+from quiverchow.paving import count_points
+from quiverchow.quiver import (
+    DimVector,
+    count_compositions,
+    multinomial,
+    parse_composition,
+    parse_quiver,
+)
 
 
 def run_cli(capsys, *argv: str) -> tuple[int, str]:
@@ -379,16 +387,57 @@ def test_count_refuses_too_many_flags_before_any_work(capsys, monkeypatch):
     assert str(cli.MAX_COUNT_FLAGS) in captured.err
 
 
+def _semisimple(spec: str, dim: tuple[int, ...]):
+    return semisimple_class(parse_quiver(spec), DimVector(dim))
+
+
 def test_count_flag_bound_is_the_gaussian_binomial_product():
-    # [3]_3! = 1 * 4 * 13; [2 choose 1]_5 at vertex 0, then 1s
-    assert cli._flag_bound(parse_composition("1;1;1", 1), 3) == 52
-    assert cli._flag_bound(parse_composition("1,1;1,0", 2), 5) == 6
-    assert cli._flag_bound(parse_composition("", 1), 5) == 1
+    # a semisimple M has a segment per dimension, so the socle bound never
+    # binds: [3]_3! = 1 * 4 * 13; [2 choose 1]_5 at vertex 0, then 1s
+    assert cli._flag_bound(_semisimple("cyclic:1", (3,)),
+                           parse_composition("1;1;1", 1), 3) == 52
+    assert cli._flag_bound(_semisimple("A2", (2, 1)),
+                           parse_composition("1,1;1,0", 2), 5) == 6
+    assert cli._flag_bound(_semisimple("cyclic:1", (0,)),
+                           parse_composition("", 1), 5) == 1
     # [4 choose 2]_17 = 89,030 is the largest two-step type allowed at n = 4
-    assert cli._flag_bound(parse_composition("2;2", 1), 17) == 89_030
-    assert cli._flag_bound(parse_composition("2;2", 1), 19) is None
+    assert cli._flag_bound(_semisimple("cyclic:1", (4,)),
+                           parse_composition("2;2", 1), 17) == 89_030
+    assert cli._flag_bound(_semisimple("cyclic:1", (4,)),
+                           parse_composition("2;2", 1), 19) is None
     # one part needs no enumeration, however large
-    assert cli._flag_bound(parse_composition("1000", 1), 999_983) == 1
+    assert cli._flag_bound(_semisimple("cyclic:1", (1000,)),
+                           parse_composition("1000", 1), 999_983) == 1
+
+
+def test_count_flag_bound_reads_the_segments_of_m():
+    LOOP = parse_quiver("cyclic:1")
+    # two segments: each step chooses a line in at most a plane, (q+1)^2
+    two = parse_multisegment("(0,1)+(0,2)")
+    assert cli._flag_bound(two, parse_composition("1;1;1", 1), 101) == 102**2
+    # one segment: its socle is one line at every step
+    assert cli._flag_bound(parse_multisegment("(0,3)"),
+                           parse_composition("1;1;1", 1), 999_983) == 1
+    # a step wider than the socle bound: no flags, which is not a refusal
+    assert cli._flag_bound(parse_multisegment("(0,3)"),
+                           parse_composition("2;1", 1), 2) == 0
+    assert cli._flag_bound(two, parse_composition("3", 1), 2) == 0
+    # the bound holds: it is at least the count, on every type of total 4
+    for M in ("(0,4)", "(0,3)+(0,1)", "(0,2)+(0,2)", "(0,2)+(0,1)+(0,1)"):
+        M = parse_multisegment(M)
+        for comp in ("1;1;1;1", "2;1;1", "1;2;1", "1;1;2", "2;2", "1;3", "3;1"):
+            comp = parse_composition(comp, 1)
+            for q in (2, 3):
+                assert cli._flag_bound(M, comp, q) >= count_points(LOOP, M, comp, q)
+
+
+def test_count_runs_a_type_that_is_cheap_in_m(capsys):
+    # 1,050,906 flags in the ambient space, but only (q+1)^2 = 10,404 by
+    # the segments of M: counted, 203 flags
+    code, out = run_cli(capsys, "count", "--quiver", "cyclic:1", "--dim", "3",
+                        "--rep", "(0,1)+(0,2)", "--comp", "1;1;1", "--q", "101")
+    assert code == 0
+    assert json.loads(out)["count"] == 203
 
 
 @pytest.mark.parametrize("mode", ["alg", "compare"])
@@ -518,6 +567,42 @@ def test_usage_errors_exit_1(capsys):
         code = main(argv)
         capsys.readouterr()
         assert code == 1, argv
+
+
+@pytest.mark.parametrize("argv", [
+    ["orbits", "--quiver", "A2", "--dim", "1,1", "--threads", "2"],
+    ["orbits", "--quiver", "A2", "--dim", "1,1", "--trunc", "4"],
+    ["orbits", "--quiver", "A2", "--dim", "1,1", "--seed", "1"],
+    ["paving", "--quiver", "cyclic:1", "--dim", "2", "--rep", "(0,2)",
+     "--comp", "1;1", "--trunc", "4"],
+    ["paving", "--quiver", "cyclic:1", "--dim", "2", "--rep", "(0,2)",
+     "--comp", "1;1", "--threads", "2"],
+    ["paving", "--quiver", "cyclic:1", "--dim", "2", "--rep", "(0,2)",
+     "--comp", "1;1", "--seed", "1"],
+    ["count", "--quiver", "cyclic:1", "--dim", "2", "--rep", "(0,2)",
+     "--comp", "1;1", "--trunc", "4"],
+    ["count", "--quiver", "cyclic:1", "--dim", "2", "--rep", "(0,2)",
+     "--comp", "1;1", "--threads", "2"],
+    ["count", "--quiver", "cyclic:1", "--dim", "2", "--rep", "(0,2)",
+     "--comp", "1;1", "--seed", "1"],
+    ["gdim", "--quiver", "A1", "--dim", "1", "--mode", "geo",
+     "--word-i", "0", "--word-j", "0", "--threads", "2"],
+    ["gdim", "--quiver", "A1", "--dim", "1", "--mode", "geo",
+     "--word-i", "0", "--word-j", "0", "--seed", "1"],
+    ["gdim-table", "--quiver", "A1", "--dim", "1", "--seed", "1"],
+    ["klr-selftest", "--quiver", "A1", "--dim", "1", "--trunc", "4"],
+    ["klr-selftest", "--quiver", "A1", "--dim", "1", "--threads", "2"],
+    ["complex", "--input", "-", "--op", "validate", "--trunc", "4"],
+    ["complex", "--input", "-", "--op", "validate", "--threads", "2"],
+    ["complex", "--input", "-", "--op", "validate", "--seed", "1"],
+], ids=lambda argv: f"{argv[0]}{argv[-2]}")
+def test_subcommands_refuse_shared_flags_they_do_not_read(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.count("error: ") == 1
+    assert f"unrecognized arguments: {argv[-2]} {argv[-1]}" in captured.err
 
 
 def test_json_output_is_compact(capsys):

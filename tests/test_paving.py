@@ -18,14 +18,15 @@ from math import factorial
 
 import pytest
 
+from quiverchow.linalg import rref_fractions, solve_exact
 from quiverchow.nilrep import enumerate_nilreps, parse_multisegment, semisimple_class
 from quiverchow.paving import (
     CellSet,
-    PoincarePolynomial,
+    _MatRep,
+    _rref_matrices,
     count_points,
     is_prime,
     paving_cells,
-    poincare,
 )
 from quiverchow.quiver import (
     Composition,
@@ -42,11 +43,11 @@ LOOP = parse_quiver("cyclic:1")
 def test_zero_representation_gives_classical_flags():
     # rho = 0 imposes nothing: Fl(M, d) is the classical partial flag variety
     M = semisimple_class(LOOP, DimVector((2,)))
-    P = poincare(LOOP, M, parse_composition("1;1", 1))
-    assert P.as_dict() == {0: 1, 1: 1}  # P^1
-    G = poincare(LOOP, semisimple_class(LOOP, DimVector((3,))),
-                 parse_composition("1;2", 1))
-    assert G.as_dict() == {0: 1, 1: 1, 2: 1}  # Gr(1,3) = P^2
+    P = paving_cells(LOOP, M, parse_composition("1;1", 1))
+    assert dict(P.counts) == {0: 1, 1: 1}  # P^1
+    G = paving_cells(LOOP, semisimple_class(LOOP, DimVector((3,))),
+                     parse_composition("1;2", 1))
+    assert dict(G.counts) == {0: 1, 1: 1, 2: 1}  # Gr(1,3) = P^2
     # complete flags in k^n: cells counted by inversions, the Mahonian
     # numbers, i.e. the coefficients of [n]_q! = prod_k (1 + q + ... + q^{k-1})
     mahonian = [1]
@@ -69,8 +70,8 @@ def test_zero_representation_gives_classical_flags():
 def test_subregular_fiber_poincare_and_counts():
     M = parse_multisegment("(0,2)+(0,1)")
     comp = parse_composition("1;1;1", 1)
-    P = poincare(LOOP, M, comp)
-    assert P.as_dict() == {0: 1, 1: 2}
+    P = paving_cells(LOOP, M, comp)
+    assert dict(P.counts) == {0: 1, 1: 2}
     assert count_points(LOOP, M, comp, 2) == 5
     assert count_points(LOOP, M, comp, 3) == 7
     assert P.evaluate(2) == 5 and P.evaluate(3) == 7
@@ -78,15 +79,15 @@ def test_subregular_fiber_poincare_and_counts():
 
 def test_regular_nilpotent_fiber_is_a_point():
     M = parse_multisegment("(0,3)")
-    P = poincare(LOOP, M, parse_composition("1;1;1", 1))
-    assert P.as_dict() == {0: 1}
+    P = paving_cells(LOOP, M, parse_composition("1;1;1", 1))
+    assert dict(P.counts) == {0: 1}
     assert count_points(LOOP, M, parse_composition("1;1;1", 1), 5) == 1
 
 
 def test_empty_composition_of_zero_class():
     M = parse_multisegment("0")
-    P = poincare(LOOP, M, Composition(()))
-    assert P.as_dict() == {0: 1}
+    P = paving_cells(LOOP, M, Composition(()))
+    assert dict(P.counts) == {0: 1}
     assert P.cell_count == 1
     assert count_points(LOOP, M, Composition(()), 2) == 1
 
@@ -105,7 +106,7 @@ def test_unreachable_flag_type_paves_empty():
     comp = parse_composition("2", 1)
     cells = paving_cells(LOOP, M, comp)
     assert cells.is_empty_variety()
-    assert poincare(LOOP, M, comp).cell_count == 0
+    assert paving_cells(LOOP, M, comp).cell_count == 0
     assert count_points(LOOP, M, comp, 2) == 0
 
 
@@ -126,7 +127,7 @@ def test_poincare_equals_point_count_randomized():
             continue
         for M in enumerate_nilreps(Q, d):
             for comp in enumerate_compositions(d):
-                P = poincare(Q, M, comp)
+                P = paving_cells(Q, M, comp)
                 for q in (2, 3):
                     assert P.evaluate(q) == count_points(Q, M, comp, q), (
                         str(Q), str(M), str(comp), q)
@@ -202,12 +203,80 @@ def test_count_points_matches_naive_chain_enumeration_over_f2():
     assert checked > 50
 
 
+def _reference_quotient(rep, sub_bases):
+    """The quotient by solving: each image of a complement vector (a
+    standard vector off the subspace's pivot columns) is solved with
+    `solve_exact` in the basis (subspace vectors, complement vectors), and
+    its complement coordinates are the quotient column."""
+    p = rep.p
+    complements, full_bases = [], []
+    for v in rep.Q.vertices:
+        d = rep.dims[v]
+        _, pivots = rref_fractions(sub_bases[v], p)
+        comp = [[int(i == j) for i in range(d)] for j in range(d) if j not in pivots]
+        complements.append(comp)
+        full_bases.append([list(u) for u in sub_bases[v]] + comp)
+    mats = {}
+    for (s, t), mat in rep.mats.items():
+        cols = []
+        for cvec in complements[s]:
+            img = [sum(a * b for a, b in zip(row, cvec)) % p for row in mat]
+            coords = solve_exact(full_bases[t], img, p)
+            assert coords is not None
+            cols.append(coords[len(sub_bases[t]):])
+        mats[(s, t)] = [[col[i] for col in cols] for i in range(len(complements[t]))]
+    return [len(c) for c in complements], mats
+
+
+def _random_socle_subspace(rep, rng):
+    """A random graded subspace of the socle kernel, drawn as the oracle
+    draws its first steps: a reduced echelon matrix over the kernel basis."""
+    sub = []
+    for v, kernel in enumerate(rep.socle_kernels()):
+        rmat = rng.choice(list(_rref_matrices(rng.randint(0, len(kernel)),
+                                              len(kernel), rep.p)))
+        sub.append([
+            [sum(row[a] * kernel[a][i] for a in range(len(kernel))) % rep.p
+             for i in range(rep.dims[v])]
+            for row in rmat
+        ])
+    return sub
+
+
+def test_quotient_matches_the_full_basis_solve():
+    rng = random.Random(16)
+    cases = [("A2", (2, 1)), ("A3", (1, 2, 1)), ("cyclic:1", (3,)),
+             ("cyclic:2", (2, 2)), ("cyclic:3", (1, 1, 2))]
+    wrapping = compared = 0
+    for q in (2, 3, 5):
+        for spec, d in cases:
+            Q = parse_quiver(spec)
+            for M in enumerate_nilreps(Q, DimVector(d)):
+                wrapping += spec.startswith("cyclic") and any(
+                    seg.length > Q.n for seg in M.segments)
+                for _ in range(3):
+                    # quotients of quotients carry entries other than 0 and 1
+                    rep = _MatRep.from_multisegment(Q, M, q)
+                    while any(rep.dims):
+                        sub = _random_socle_subspace(rep, rng)
+                        got = rep.quotient(sub)
+                        assert (got.dims, got.mats) == _reference_quotient(rep, sub), (
+                            spec, str(M), q, sub)
+                        compared += 1
+                        rep = got
+    assert wrapping > 0
+    assert compared > 500
+
+
 def test_poincare_polynomial_accessors():
     M = parse_multisegment("(0,2)+(0,1)")
-    P = poincare(LOOP, M, parse_composition("1;1;1", 1))
-    assert P.coefficients == ((0, 1), (1, 2))
+    P = paving_cells(LOOP, M, parse_composition("1;1;1", 1))
+    assert P.counts == ((0, 1), (1, 2))
     assert P.cell_count == 3
     assert P.evaluate(1) == 3  # Euler characteristic
+    assert str(P) == "1 + 2*q"
+    assert str(CellSet(((0, 1), (1, 1), (2, 3)))) == "1 + q + 3*q^2"
+    assert str(CellSet(())) == "0" and CellSet(()).evaluate(5) == 0
 
 
 def test_is_prime():
