@@ -45,7 +45,7 @@ from .nilrep import (
     orbit_dim,
     parse_multisegment,
 )
-from .paving import count_points, is_prime, paving_cells
+from .paving import FqOracle, count_points, is_prime, paving_cells
 from .quiver import (
     Composition,
     DimVector,
@@ -598,8 +598,9 @@ def _dim_vectors(n: int, total: int):
 
 def paving_oracle_cases(max_total: int = 4):
     """One case per (quiver, multisegment): Poincaré polynomial equals the
-    point-count oracle at q in {2,3,5} for every composition; plus the
-    named subregular case with its frozen oracle values."""
+    point-count oracle at q in {2,3,5} for every composition, with one
+    `FqOracle` per q shared by the compositions; plus the named subregular
+    case with its frozen oracle values."""
     cases = []
 
     def subregular():
@@ -625,10 +626,11 @@ def paving_oracle_cases(max_total: int = 4):
             for d in _dim_vectors(Q.n, total):
                 for M in enumerate_nilreps(Q, d):
                     def check(Q=Q, d=d, M=M):
+                        oracles = {q: FqOracle(Q, M, q) for q in (2, 3, 5)}
                         for comp in enumerate_compositions(d):
                             P = paving_cells(Q, M, comp)
-                            for q in (2, 3, 5):
-                                got = count_points(Q, M, comp, q)
+                            for q, oracle in oracles.items():
+                                got = count_points(Q, M, comp, q, oracle)
                                 want = P.evaluate(q)
                                 if got != want:
                                     return False, (

@@ -238,12 +238,13 @@ class KLRHandle(AlgebraHandle):
         eq_tgt = self.unit(to)
         col_maps: list[dict] = [dict() for _ in basis]
         rhs_map: dict = {}
+        products = [(b * a, a * b) for b in basis]
         for idx, f in enumerate(self._inputs):
             inp = f[2]
-            for t, b in enumerate(basis):
-                for key, c in (b * a).apply(inp).terms.items():
+            for t, (ba, ab) in enumerate(products):
+                for key, c in ba.apply(inp).terms.items():
                     col_maps[t][("L", idx, key)] = c
-                for key, c in (a * b).apply(inp).terms.items():
+                for key, c in ab.apply(inp).terms.items():
                     col_maps[t][("R", idx, key)] = c
             for key, c in eq_src.apply(inp).terms.items():
                 rhs_map[("L", idx, key)] = c

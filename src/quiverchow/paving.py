@@ -14,20 +14,24 @@ remaining steps.
 over a prime field and counts the flags by direct enumeration of graded
 subspaces, with no reference to the recursion.  For a variety paved by
 affine cells the point count over F_q equals the Poincare polynomial at q.
-Its kernels and echelon forms are Gaussian elimination over F_q, done by
-`linalg` (the same routine that eliminates over Q elsewhere); a quotient
-reads each image column's coordinates off after reducing it by the
-subspace's echelon rows, with no linear solve.
-Within one call it counts each literal quotient (the same matrices with the
-same remaining steps) once; that memo lives only for the call.
+Its socle kernels are Gaussian elimination over F_q, done by `linalg` (the
+same routine that eliminates over Q elsewhere), and come out in reduced row
+echelon form, so every enumerated first step is in that form too: a
+quotient reads the pivots off the step's rows and reduces each image column
+by them, with no elimination and no linear solve.
+An `FqOracle(Q, M, q)` holds the materialized M and counts each literal
+quotient (the same matrices with the same remaining steps) once, for every
+composition counted through it; that memo lives as long as the oracle, and
+`count_points` without one builds a fresh oracle for the call.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import mul
 
-from .linalg import kernel_basis, rref_fractions
+from .linalg import kernel_basis
 from .nilrep import Multisegment, quotient_by_socles, socle_basis
 from .quiver import Composition, DimVector, Quiver
 
@@ -124,18 +128,16 @@ def _cells(
     return out
 
 
-def _check_target(Q: Quiver, M: Multisegment, comp: Composition) -> None:
+def _check_target(Q: Quiver, dim: DimVector, comp: Composition) -> None:
     target = comp.target if comp.parts else DimVector((0,) * Q.n)
-    if M.dim_vector(Q) != target or len(target) != Q.n:
-        raise ValueError(
-            f"dimension mismatch: M has {M.dim_vector(Q)}, comp targets {target}"
-        )
+    if dim != target or len(target) != Q.n:
+        raise ValueError(f"dimension mismatch: M has {dim}, comp targets {target}")
 
 
 def paving_cells(Q: Quiver, M: Multisegment, comp: Composition) -> CellSet:
     """Affine cells, counted by dimension, of the variety of strictly
     lowering flags of type comp in M.  Raises on a dimension mismatch."""
-    _check_target(Q, M, comp)
+    _check_target(Q, M.dim_vector(Q), comp)
     return CellSet(_cells(Q, M, comp.parts))
 
 
@@ -178,7 +180,8 @@ def _rref_matrices(k: int, m: int, p: int):
 
 
 class _MatRep:
-    """A representation over F_p: one matrix per arrow, dense lists."""
+    """A representation over F_p: one matrix per arrow, dense lists, in
+    `Q.arrows()` order."""
 
     def __init__(self, Q: Quiver, dims: list[int], mats: dict[tuple[int, int], list[list[int]]], p: int):
         self.Q = Q
@@ -207,106 +210,131 @@ class _MatRep:
         return _MatRep(Q, dims, mats, p)
 
     def socle_kernels(self) -> list[list[list[int]]]:
-        """Per vertex, a basis (list of vectors) of the joint kernel of all
-        arrows leaving the vertex."""
+        """Per vertex, a basis of the joint kernel of all arrows leaving the
+        vertex, in reduced row echelon form.
+
+        It is the kernel basis of the column-reversed matrix, each vector
+        read backwards and the list reversed: every vector then leads with
+        1 at its own free column, which the other vectors leave zero."""
         out = []
         for v in self.Q.vertices:
             rows: list[list[int]] = []
             for (s, t), mat in self.mats.items():
                 if s == v:
-                    rows.extend(mat)
-            out.append(kernel_basis(rows, self.dims[v], self.p))
+                    rows.extend(row[::-1] for row in mat)
+            kernel = kernel_basis(rows, self.dims[v], self.p)
+            out.append([vec[::-1] for vec in reversed(kernel)])
         return out
 
     def quotient(self, sub_bases: list[list[list[int]]]) -> "_MatRep":
-        """Quotient by the graded subspace spanned by sub_bases (per-vertex
-        lists of vectors contained in the socle kernel).
+        """Quotient by the graded subspace spanned by sub_bases: per vertex,
+        the rows of a reduced row echelon form of a subspace of the socle
+        kernel, so each row's leading column is a pivot.
 
         At each vertex the quotient keeps the standard basis vectors off the
-        pivot columns of the subspace's reduced echelon form.  An image
-        column reduced by the echelon rows is zero at every pivot column, so
-        its entries at the kept columns are its quotient coordinates."""
+        pivot columns.  An image column reduced by the echelon rows is zero
+        at every pivot column, so its entries at the kept columns are its
+        quotient coordinates."""
         p = self.p
-        echelon = [rref_fractions(sub_bases[v], p) for v in self.Q.vertices]
+        pivots = [
+            [next(j for j, x in enumerate(row) if x) for row in rows]
+            for rows in sub_bases
+        ]
         keep = [
-            [j for j in range(self.dims[v]) if j not in echelon[v][1]]
-            for v in self.Q.vertices
+            [j for j in range(d) if j not in piv]
+            for d, piv in zip(self.dims, pivots)
         ]
         new_mats = {}
         for (s, t), mat in self.mats.items():
-            rows_t, pivots_t = echelon[t]
-            cols = []
-            for j in keep[s]:
-                col = [row[j] for row in mat]
-                for row, pc in zip(rows_t, pivots_t):
-                    f = col[pc]
+            ks, kt = keep[s], keep[t]
+            block = [[mat[i][j] for j in ks] for i in kt]
+            # block row i loses row[i] times the image row at each pivot
+            for pc, row in zip(pivots[t], sub_bases[t]):
+                top = [mat[pc][j] for j in ks]
+                if not any(top):
+                    continue
+                for r, i in enumerate(kt):
+                    f = row[i]
                     if f:
-                        col = [(a - f * b) % p for a, b in zip(col, row)]
-                cols.append([col[i] for i in keep[t]])
-            new_mats[(s, t)] = [
-                [col[i] for col in cols] for i in range(len(keep[t]))
-            ]
+                        block[r] = [(a - f * b) % p for a, b in zip(block[r], top)]
+            new_mats[(s, t)] = block
         return _MatRep(self.Q, [len(k) for k in keep], new_mats, p)
 
 
-def _count_flags(
-    rep: _MatRep, parts: tuple[DimVector, ...], memo: dict[tuple, int]
+class FqOracle:
+    """Point counts of flags in one representation M over one field F_q.
+
+    Call-scoped, like `extalg.Strata`: it holds M materialized as shift
+    matrices over F_q and one memo of flag counts keyed on the literal
+    quotient (dimensions, every matrix entry in arrow order, remaining
+    parts), shared by every composition counted through it.  Q and q are
+    fixed per oracle, so they are not in the key.  The memo never
+    identifies isomorphic quotients, never consults the paving recursion or
+    its cache, and dies with the oracle."""
+
+    def __init__(self, Q: Quiver, M: Multisegment, q: int):
+        if not is_prime(q):
+            raise ValueError(f"{q} is not prime")
+        self.Q, self.M, self.q = Q, M, q
+        self.dim = M.dim_vector(Q)
+        self.rep = _MatRep.from_multisegment(Q, M, q)
+        self._memo: dict[tuple, int] = {}
+
+    def _count_flags(self, rep: _MatRep, parts: tuple[DimVector, ...]) -> int:
+        # every matrix entry, row by row, in arrow order
+        entries = tuple(itertools.chain.from_iterable(
+            itertools.chain.from_iterable(rep.mats.values())))
+        if len(parts) <= 1:
+            # the target check makes the dims equal the one part left (or
+            # zero with none left), so the only candidate step is the whole
+            # space: a flag exactly when every arrow matrix is zero
+            return int(not any(entries))
+        key = (tuple(rep.dims), entries, parts)
+        hit = self._memo.get(key)
+        if hit is not None:
+            return hit
+        step = parts[0]
+        kernels = rep.socle_kernels()
+        p = rep.p
+        total = 0
+        if all(step[v] <= len(kernels[v]) for v in rep.Q.vertices):
+            # a reduced echelon R times the reduced echelon kernel K is
+            # again reduced echelon, so each first step R.K reaches
+            # `quotient` in the form it reads pivots from
+            per_vertex_choices = []
+            for v, kernel in enumerate(kernels):
+                columns = list(zip(*kernel))
+                per_vertex_choices.append([
+                    [[sum(map(mul, row, col)) % p for col in columns] for row in rmat]
+                    for rmat in _rref_matrices(step[v], len(kernel), p)
+                ])
+            for graded_choice in itertools.product(*per_vertex_choices):
+                total += self._count_flags(rep.quotient(list(graded_choice)), parts[1:])
+        self._memo[key] = total
+        return total
+
+
+def count_points(
+    Q: Quiver, M: Multisegment, comp: Composition, q: int,
+    oracle: FqOracle | None = None,
 ) -> int:
-    if not parts:
-        return 1 if all(d == 0 for d in rep.dims) else 0
-    # the literal matrices, not their isomorphism class: Q and p are fixed
-    # within one count_points call, so dims, entries and parts pin the count
-    key = (
-        tuple(rep.dims),
-        tuple(x for a in rep.Q.arrows() for row in rep.mats[a] for x in row),
-        parts,
-    )
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
-    step = parts[0]
-    kernels = rep.socle_kernels()
-    p = rep.p
-    for v in rep.Q.vertices:
-        if step[v] > len(kernels[v]):
-            memo[key] = 0
-            return 0
-    total = 0
-    per_vertex_choices = []
-    for v in rep.Q.vertices:
-        m = len(kernels[v])
-        choices_v = []
-        for rmat in _rref_matrices(step[v], m, p):
-            # rows of rmat give coordinates in the kernel basis
-            vecs = [
-                [sum(row[a] * kernels[v][a][i] for a in range(m)) % p
-                 for i in range(rep.dims[v])]
-                for row in rmat
-            ]
-            choices_v.append(vecs)
-        per_vertex_choices.append(choices_v)
-    for graded_choice in itertools.product(*per_vertex_choices):
-        sub = rep.quotient(list(graded_choice))
-        total += _count_flags(sub, parts[1:], memo)
-    memo[key] = total
-    return total
-
-
-def count_points(Q: Quiver, M: Multisegment, comp: Composition, q: int) -> int:
     """Number of strictly lowering flags of type comp in M over F_q.
 
     Independent of the paving recursion: the representation is materialized
     as shift matrices, the first flag step is enumerated as an actual graded
     subspace of the kernel of the arrow action via reduced echelon forms,
     and the count proceeds on the matrix quotient.  Distinct first steps
-    often give matrix-for-matrix identical quotients, so each call keeps a
-    memo of counts keyed on the literal quotient (dimensions, every matrix
-    entry, remaining parts).  It never identifies isomorphic quotients,
-    never consults the paving recursion or its cache, and is dropped when
-    the call returns.
+    often give matrix-for-matrix identical quotients, and so do the
+    compositions of one M, so the counts are memoized in `oracle` (a fresh
+    `FqOracle(Q, M, q)` when None); an oracle built for another (Q, M, q)
+    is a ValueError.
     """
-    if not is_prime(q):
-        raise ValueError(f"{q} is not prime")
-    _check_target(Q, M, comp)
-    rep = _MatRep.from_multisegment(Q, M, q)
-    return _count_flags(rep, comp.parts, {})
+    if oracle is None:
+        oracle = FqOracle(Q, M, q)
+    elif (oracle.Q, oracle.M, oracle.q) != (Q, M, q):
+        raise ValueError(
+            f"oracle built for {oracle.M} on {oracle.Q} over F_{oracle.q}, "
+            f"asked for {M} on {Q} over F_{q}"
+        )
+    _check_target(Q, oracle.dim, comp)
+    return oracle._count_flags(oracle.rep, comp.parts)

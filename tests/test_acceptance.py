@@ -25,7 +25,7 @@ import time
 from quiverchow import cli
 from quiverchow.klrpoly import smash_center_dims
 from quiverchow.nilrep import Segment, enumerate_nilreps, hom_dim, intertwiner_dim
-from quiverchow.paving import count_points, paving_cells
+from quiverchow.paving import FqOracle, count_points, paving_cells
 from quiverchow.quiver import DimVector, enumerate_compositions, parse_quiver
 
 
@@ -59,7 +59,8 @@ def test_paving_agrees_with_point_counts_everywhere():
 
 def test_paving_agrees_with_point_counts_at_total_five():
     # the sweep above stops at total 4; this one adds every total-5 case on
-    # the quivers with at most two vertices, at two primes
+    # the quivers with at most two vertices, at two primes, with one oracle
+    # per (M, q) shared by the compositions
     t0 = time.monotonic()
     checked = 0
     for spec in ("A1", "cyclic:1", "A2", "cyclic:2"):
@@ -67,10 +68,11 @@ def test_paving_agrees_with_point_counts_at_total_five():
         for dv in cli._dim_vectors(Q.n, 5):
             comps = enumerate_compositions(dv)
             for M in enumerate_nilreps(Q, dv):
+                oracles = {q: FqOracle(Q, M, q) for q in (2, 3)}
                 for comp in comps:
                     P = paving_cells(Q, M, comp)
-                    for q in (2, 3):
-                        assert P.evaluate(q) == count_points(Q, M, comp, q), (
+                    for q, oracle in oracles.items():
+                        assert P.evaluate(q) == count_points(Q, M, comp, q, oracle), (
                             spec, str(M), str(comp), q)
                         checked += 1
     elapsed = time.monotonic() - t0

@@ -22,6 +22,7 @@ from quiverchow.linalg import rref_fractions, solve_exact
 from quiverchow.nilrep import enumerate_nilreps, parse_multisegment, semisimple_class
 from quiverchow.paving import (
     CellSet,
+    FqOracle,
     _MatRep,
     _rref_matrices,
     count_points,
@@ -288,3 +289,52 @@ def test_count_points_rejects_nonprime_field_size():
     M = parse_multisegment("(0,2)")
     with pytest.raises(ValueError):
         count_points(LOOP, M, parse_composition("1;1", 1), 4)
+
+
+def test_shared_oracle_counts_equal_fresh_counts():
+    # one oracle per (M, q) serves every composition, in the reverse order,
+    # so later counts read quotients memoized by earlier compositions
+    compared = 0
+    for spec, d in (("A3", (1, 1, 1)), ("cyclic:2", (2, 1)), ("cyclic:1", (3,))):
+        Q = parse_quiver(spec)
+        dv = DimVector(d)
+        comps = list(enumerate_compositions(dv))
+        for M in enumerate_nilreps(Q, dv):
+            for q in (2, 3, 5):
+                oracle = FqOracle(Q, M, q)
+                shared = [count_points(Q, M, c, q, oracle) for c in reversed(comps)]
+                fresh = [count_points(Q, M, c, q) for c in reversed(comps)]
+                assert shared == fresh, (spec, str(M), q)
+                compared += len(comps)
+    assert compared > 100
+
+
+def test_oracle_for_another_rep_or_field_is_refused():
+    M = parse_multisegment("(0,2)+(0,1)")
+    comp = parse_composition("1;1;1", 1)
+    oracle = FqOracle(LOOP, M, 3)
+    assert count_points(LOOP, M, comp, 3, oracle) == 7
+    with pytest.raises(ValueError):
+        count_points(LOOP, M, comp, 2, oracle)
+    with pytest.raises(ValueError):
+        count_points(LOOP, parse_multisegment("(0,3)"), comp, 3, oracle)
+    with pytest.raises(ValueError):
+        count_points(parse_quiver("cyclic:2"), M, comp, 3, oracle)
+    with pytest.raises(ValueError):
+        FqOracle(LOOP, M, 4)
+
+
+def test_one_part_counts_one_exactly_on_semisimple_classes():
+    # a one-step flag is the whole space, strictly lowering only when every
+    # arrow acts by zero, i.e. every segment has length 1
+    seen = set()
+    for spec, d in (("A3", (1, 1, 1)), ("cyclic:2", (2, 1)), ("cyclic:1", (3,))):
+        Q = parse_quiver(spec)
+        dv = DimVector(d)
+        comp = Composition((dv,))
+        for M in enumerate_nilreps(Q, dv):
+            semisimple = all(seg.length == 1 for seg in M.segments)
+            for q in (2, 3):
+                assert count_points(Q, M, comp, q) == int(semisimple), (spec, str(M), q)
+            seen.add(semisimple)
+    assert seen == {True, False}

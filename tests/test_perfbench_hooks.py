@@ -15,6 +15,7 @@ import os
 import pytest
 
 from quiverchow import cli, extalg, homotopy, linalg, paving, series
+from quiverchow.quiver import DimVector, enumerate_compositions
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                          "perfbench")
@@ -61,6 +62,23 @@ def test_gdim_table_calls_the_cli_name_once_per_block(monkeypatch, capsys):
     assert cli.main(["gdim-table", "--quiver", "A2", "--dim", "1,1", "--trunc", "4"]) == 0
     capsys.readouterr()
     assert len(calls) == 4
+
+
+def test_paving_oracle_case_counts_through_the_cli_name(monkeypatch):
+    # the paving.count_points layer times every count only if each one goes
+    # through cli.count_points, the shared oracle notwithstanding
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return paving.count_points(*args)
+
+    monkeypatch.setattr(cli, "count_points", counted)
+    cases = dict(cli.paving_oracle_cases(3))
+    ok, _ = cases["A2 1,2 (1,1)+(1,2)"]()
+    assert ok
+    comps = list(enumerate_compositions(DimVector((1, 2))))
+    assert len(comps) > 1 and len(calls) == 3 * len(comps)
 
 
 def test_cache_and_aliases_the_benchmark_checks():
