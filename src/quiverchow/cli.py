@@ -36,7 +36,7 @@ from .homotopy import (
     validate,
     weight_truncate,
 )
-from .klrpoly import inversions, relation_suite
+from .klrpoly import check_suite_size, inversions, relation_suite
 from .nilrep import (
     Multisegment,
     Segment,
@@ -80,6 +80,15 @@ MAX_Q = 10**6
 # type whose bound from M (the product of Gaussian binomials at q in
 # `_flag_bound`) exceeds this is refused before any work.
 MAX_COUNT_FLAGS = 100_000
+
+# --trials (relation trials per family) and --count (complexes per homotopy
+# handle) above this are usage errors.
+MAX_TRIALS = 10_000
+
+# suite paving-oracle: a --max-total above this is refused before any case
+# is built; 5 takes 73-77 s on a 2-core machine (Python 3.11), and each
+# unit more multiplies the multisegments, compositions and flags to count.
+MAX_ORACLE_TOTAL = 5
 
 
 class _Parser(argparse.ArgumentParser):
@@ -186,7 +195,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("klr-selftest", help="relation suite on one algebra")
     _quiver_flags(p)
-    p.add_argument("--trials", type=_int_at_least(1), default=100)
+    p.add_argument("--trials", type=_int_at_least(1, MAX_TRIALS), default=100,
+                   help=f"relation trials per family (at most {MAX_TRIALS})")
     _shared_flags(p, "seed")
 
     p = sub.add_parser("complex", help="operate on a JSON chain complex")
@@ -201,11 +211,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("suite", help="run a named acceptance battery")
     p.add_argument("name", choices=("paving-oracle", "klr-match", "relations", "homotopy"))
     p.add_argument("--max-total", type=_int_at_least(0), default=4,
-                   help="dimension bound for paving-oracle/relations")
-    p.add_argument("--trials", type=_int_at_least(1), default=100,
-                   help="relation trials per family")
-    p.add_argument("--count", type=_int_at_least(1), default=200,
-                   help="homotopy corpus size per handle")
+                   help=f"dimension bound for paving-oracle (at most {MAX_ORACLE_TOTAL}) "
+                        f"and relations")
+    p.add_argument("--trials", type=_int_at_least(1, MAX_TRIALS), default=100,
+                   help=f"relation trials per family (at most {MAX_TRIALS})")
+    p.add_argument("--count", type=_int_at_least(1, MAX_TRIALS), default=200,
+                   help=f"homotopy corpus size per handle (at most {MAX_TRIALS})")
     _shared_flags(p, "trunc", "threads", "seed")
 
     return parser
@@ -600,8 +611,17 @@ def paving_oracle_cases(max_total: int = 4):
     """One case per (quiver, multisegment): Poincaré polynomial equals the
     point-count oracle at q in {2,3,5} for every composition, with one
     `FqOracle` per q shared by the compositions; plus the named subregular
-    case with its frozen oracle values."""
+    case with its frozen oracle values.  A max_total above
+    MAX_ORACLE_TOTAL is refused."""
+    if max_total > MAX_ORACLE_TOTAL:
+        raise ValueError(
+            f"suite paving-oracle --max-total {max_total} is above the bound of "
+            f"{MAX_ORACLE_TOTAL}"
+        )
     cases = []
+    # one composition list per d, built by the first case that needs it;
+    # two threads may both build it, and either equal list serves
+    comps_of: dict = {}
 
     def subregular():
         Q = parse_quiver("cyclic:1")
@@ -627,7 +647,10 @@ def paving_oracle_cases(max_total: int = 4):
                 for M in enumerate_nilreps(Q, d):
                     def check(Q=Q, d=d, M=M):
                         oracles = {q: FqOracle(Q, M, q) for q in (2, 3, 5)}
-                        for comp in enumerate_compositions(d):
+                        comps = comps_of.get(d)
+                        if comps is None:
+                            comps = comps_of[d] = enumerate_compositions(d)
+                        for comp in comps:
                             P = paving_cells(Q, M, comp)
                             for q, oracle in oracles.items():
                                 got = count_points(Q, M, comp, q, oracle)
@@ -715,12 +738,14 @@ def klr_block_check(Q: Quiver, d: DimVector, trunc: int):
 def relations_cases(max_total: int = 4, trials: int = 100, seed: int = 0):
     """One case per (quiver, d) with 1 <= total(d) <= max_total: every
     relation family, degree homogeneity among them, ran `trials` seeded
-    trials without a failure."""
+    trials without a failure.  Every (quiver, d) is checked against the
+    relation-suite bounds before any case runs."""
     cases = []
     for qspec in SUITE_QUIVERS:
         Q = parse_quiver(qspec)
         for total in range(1, max_total + 1):
             for d in _dim_vectors(Q.n, total):
+                check_suite_size(Q, d)
                 def check(Q=Q, d=d):
                     report = relation_suite(Q, d, trials=trials, seed=seed)
                     short = next((v for v in report.verdicts if v.trials != trials), None)

@@ -14,7 +14,11 @@ input's map; `KLROperator.apply` calls it and wraps the result as a
 `LabeledPoly`.  `relation_suite` checks the defining relations of this
 presentation on seeded random inputs, drawn straight into flat maps: each
 relation side is a term list folded by the same kernel, so no operator is
-multiplied out.  It is the normative gate for the sign conventions.
+multiplied out.  It is the normative gate for the sign conventions.  Trial
+t of family `name` draws from the state of `Random(f"{seed}:{name}:{t}")`
+(one generator per call, reseeded per trial); the draws read raw generator
+bits through `_below`, taking exactly the bits and values of the `random`
+methods they replace, and tests pin them by digests.
 
 The second algebra is the smash product of a polynomial ring with the
 symmetric group, S # Q[S_n], with multiplication (f.w)(g.v) = f w(g) . wv;
@@ -34,7 +38,7 @@ from dataclasses import dataclass
 from math import comb
 
 from .linalg import rank_int
-from .quiver import DimVector, Quiver, cartan, content_words
+from .quiver import DimVector, Quiver, cartan, content_words, multinomial
 from .series import _norm_coeff
 
 
@@ -220,11 +224,14 @@ def word_offset(Q: Quiver, word: tuple[int, ...]) -> int:
     positions k < l with an arrow from the k-th label to the l-th.  With
     this offset the crossing action is homogeneous of degree
     -cartan(i_r, i_{r+1}) even though the arrow factor is asymmetric."""
-    n = len(word)
+    for v in word:
+        Q.check_vertex(v)
+    table = Q.arrow_table
     total = 0
-    for k in range(n):
-        for l in range(k + 1, n):
-            total += Q.arrow_count(word[k], word[l])
+    for k, v in enumerate(word):
+        row = table[v]
+        for u in word[k + 1:]:
+            total += row[u]
     return total
 
 
@@ -290,6 +297,7 @@ def _act(Q: Quiver, atom: tuple, flat: dict) -> dict:
     k = arg - 1  # crossing of the 0-based positions k, k+1
     arrow_table = Q.arrow_table
     out: dict = {}
+    get = out.get
     for (w, e), c in flat.items():
         v, u = w[k], w[k + 1]
         p, q = e[k], e[k + 1]
@@ -298,19 +306,26 @@ def _act(Q: Quiver, atom: tuple, flat: dict) -> dict:
             # divided difference, as in Poly.divided_difference
             if p == q:
                 continue
-            signed = c if p > q else -c
-            lo, hi = min(p, q), max(p, q)
+            if p > q:
+                lo, hi, signed = q, p, c
+            else:
+                lo, hi, signed = p, q, -c
             for t in range(hi - lo):
                 key = (w, head + (lo + t, hi - 1 - t) + tail)
-                out[key] = out.get(key, 0) + signed
-        else:
-            # swap letters and exponents, then one factor (x_r - x_{r+1})
-            # per arrow v -> u, expanded binomially
-            sw = w[:k] + (u, v) + w[k + 2:]
-            arrows = arrow_table[v][u]
-            for j in range(arrows + 1):
-                key = (sw, head + (q + arrows - j, p + j) + tail)
-                out[key] = out.get(key, 0) + (-1) ** j * comb(arrows, j) * c
+                out[key] = get(key, 0) + signed
+            continue
+        # swap letters and exponents, then one factor (x_r - x_{r+1}) per
+        # arrow v -> u, expanded binomially
+        sw = w[:k] + (u, v) + w[k + 2:]
+        arrows = arrow_table[v][u]
+        if not arrows:
+            # the swap is a bijection on keys, and no other branch writes a
+            # word with these letters at k, k+1, so this key is written once
+            out[(sw, head + (q, p) + tail)] = c
+            continue
+        for j in range(arrows + 1):
+            key = (sw, head + (q + arrows - j, p + j) + tail)
+            out[key] = get(key, 0) + (-1) ** j * comb(arrows, j) * c
     return {key: c for key, c in out.items() if c != 0}
 
 
@@ -521,19 +536,84 @@ class SuiteReport:
 
 _COEFFS = (-3, -2, -1, 1, 2, 3)
 
+# relation_suite refuses, before listing any word, a (Q, d) with more
+# strands than MAX_SUITE_STRANDS (each trial works on tuples of n exponents
+# and the degree check walks n^2 letter pairs) or with more words of
+# content d than MAX_SUITE_WORDS (the idempotent family sums one term per
+# word).
+MAX_SUITE_STRANDS = 64
+MAX_SUITE_WORDS = 40_320
+
+
+def check_suite_size(Q: Quiver, d: DimVector) -> None:
+    """Refuses a (Q, d) past the relation-suite bounds, from d alone: the
+    word count is total(d)! / prod d_v!, and the strand cap is checked
+    first so no large factorial is formed."""
+    if d.total > MAX_SUITE_STRANDS:
+        raise ValueError(
+            f"the relation suite on {Q} {d} has {d.total} strands, above the bound "
+            f"of {MAX_SUITE_STRANDS}"
+        )
+    count = multinomial(d)
+    if count > MAX_SUITE_WORDS:
+        raise ValueError(
+            f"the relation suite on {Q} {d} has {count} words of content {d} "
+            f"(total(d)! / prod d_v!), above the bound of {MAX_SUITE_WORDS}"
+        )
+
+
+def _below(bits, m: int) -> int:
+    """A uniform int in [0, m) from a generator's bound `getrandbits`,
+    drawing exactly what `Random._randbelow` draws: m.bit_length() bits,
+    again while the value is at least m.  So randrange(a, a + m) is
+    a + _below(bits, m), randint(a, b) is a + _below(bits, b - a + 1) and
+    choice(s) is s[_below(bits, len(s))], each leaving the same state."""
+    if m <= 0:
+        raise ValueError(f"no int in [0, {m})")
+    k = m.bit_length()
+    r = bits(k)
+    while r >= m:
+        r = bits(k)
+    return r
+
+
+def _sample(bits, pool, k: int) -> list:
+    """`Random.sample(pool, k)` for k <= 5 (so its small-set size is 21),
+    drawn through `_below`: up to 21 items it draws from a shrinking copy
+    of the pool, past that it redraws an index already chosen."""
+    n = len(pool)
+    if n <= 21:
+        pool = list(pool)
+        out = []
+        for i in range(k):
+            j = _below(bits, n - i)
+            out.append(pool[j])
+            pool[j] = pool[n - i - 1]
+        return out
+    chosen: list[int] = []
+    for _ in range(k):
+        j = _below(bits, n)
+        while j in chosen:
+            j = _below(bits, n)
+        chosen.append(j)
+    return [pool[j] for j in chosen]
+
 
 def _rand_flat(rng: random.Random, n: int, words) -> dict:
     """A random labeled polynomial, drawn straight into its flat map
     {(word, exponents): coefficient}: one or two words, each with one or
-    two monomials of exponents at most 2 and total degree at most 6."""
+    two monomials of exponents at most 2 and total degree at most 6.  The
+    draws are those of sample, randint, randrange and choice, read from
+    raw generator bits with `_below`."""
+    bits = rng.getrandbits
     flat: dict = {}
-    for w in rng.sample(words, min(len(words), rng.randint(1, 2))):
-        for _ in range(rng.randint(1, 2)):
-            exps = [rng.randint(0, 2) for _ in range(n)]
+    for w in _sample(bits, words, min(len(words), 1 + _below(bits, 2))):
+        for _ in range(1 + _below(bits, 2)):
+            exps = [_below(bits, 3) for _ in range(n)]
             while sum(exps) > 6:
-                exps[rng.randrange(n)] = 0
+                exps[_below(bits, n)] = 0
             key = (w, tuple(exps))
-            flat[key] = flat.get(key, 0) + rng.choice(_COEFFS)
+            flat[key] = flat.get(key, 0) + _COEFFS[_below(bits, 6)]
     return {key: c for key, c in flat.items() if c != 0}
 
 
@@ -546,11 +626,25 @@ def relation_suite(Q: Quiver, d: DimVector, trials: int = 100, seed: int = 0) ->
     Each relation side is a list of (coefficient, atoms) terms, atoms in
     operator order; a relation holds on an input when `_apply_terms`
     folds lhs - rhs over its flat map to all-zero coefficients.  No
-    operator is multiplied out."""
-    words = content_words(Q, d)
+    operator is multiplied out.  Trial t of family `name` draws from the
+    state of `Random(f"{seed}:{name}:{t}")`: one generator per call is
+    reseeded to it, and every draw reads its bits through `_below`.  A
+    (Q, d) past `check_suite_size` is refused before any word is listed."""
     if d.total < 1:
         raise ValueError("the relation suite needs a dimension vector with positive total")
+    check_suite_size(Q, d)
+    words = content_words(Q, d)
     n = d.total
+    nw = len(words)
+    # the polynomial right sides of psi-square and braid, as terms, on
+    # (v, u, r) and (i_r, i_{r+1}, i_{r+2}, r)
+    square_rhs: dict = {}
+    braid_rhs: dict = {}
+    idempotent_sum = [(1, (("e", w),)) for w in words]
+    # one generator for the call, reseeded per trial; the families draw
+    # from it through its bound getrandbits
+    rng = random.Random()
+    bits = rng.getrandbits
 
     def E(w):
         return ("e", w)
@@ -561,12 +655,23 @@ def relation_suite(Q: Quiver, d: DimVector, trials: int = 100, seed: int = 0) ->
     def PSI(r):
         return ("psi", r)
 
+    def word() -> tuple:
+        return words[_below(bits, nw)]
+
     def check_equal(lhs: list, rhs: list, f: dict) -> bool:
         diff = _apply_terms(Q, lhs + [(-c, atoms) for c, atoms in rhs], f)
         return not any(diff.values())
 
     def show(f: dict) -> LabeledPoly:
         return LabeledPoly._flat(n, f)
+
+    def after_e(memo: dict, key: tuple, poly, i: tuple) -> list:
+        """Multiplication by the polynomial poly() after e(i), as terms;
+        poly() is built and expanded once per key."""
+        terms = memo.get(key)
+        if terms is None:
+            terms = memo[key] = _poly_terms(poly())
+        return [(c, atoms + (E(i),)) for c, atoms in terms]
 
     families: list[tuple[str, object]] = []
 
@@ -577,21 +682,21 @@ def relation_suite(Q: Quiver, d: DimVector, trials: int = 100, seed: int = 0) ->
         return wrap
 
     @fam("idempotents")
-    def _idem(rng: random.Random) -> str | None:
+    def _idem() -> str | None:
         f = _rand_flat(rng, n, words)
-        i = rng.choice(words)
-        j = rng.choice(words)
+        i = word()
+        j = word()
         if not check_equal([(1, (E(i), E(j)))], [(1, (E(i),))] if i == j else [], f):
             return f"e({i})e({j}) on {show(f)}"
-        if not check_equal([(1, (E(w),)) for w in words], [(1, ())], f):
+        if not check_equal(idempotent_sum, [(1, ())], f):
             return f"sum of idempotents on {show(f)}"
         return None
 
     @fam("x-commute")
-    def _xcomm(rng: random.Random) -> str | None:
+    def _xcomm() -> str | None:
         f = _rand_flat(rng, n, words)
-        k = rng.randint(1, n)
-        l = rng.randint(1, n)
+        k = 1 + _below(bits, n)
+        l = 1 + _below(bits, n)
         if not check_equal([(1, (X(k), X(l)))], [(1, (X(l), X(k)))], f):
             return f"x{k} x{l} on {show(f)}"
         return None
@@ -599,21 +704,20 @@ def relation_suite(Q: Quiver, d: DimVector, trials: int = 100, seed: int = 0) ->
     if n >= 2:
 
         @fam("label-exchange")
-        def _exchange(rng: random.Random) -> str | None:
+        def _exchange() -> str | None:
             f = _rand_flat(rng, n, words)
-            r = rng.randint(1, n - 1)
-            i = rng.choice(words)
-            si = list(i)
-            si[r - 1], si[r] = si[r], si[r - 1]
-            if not check_equal([(1, (PSI(r), E(i)))], [(1, (E(tuple(si)), PSI(r)))], f):
+            r = 1 + _below(bits, n - 1)
+            i = word()
+            si = i[:r - 1] + (i[r], i[r - 1]) + i[r + 1:]
+            if not check_equal([(1, (PSI(r), E(i)))], [(1, (E(si), PSI(r)))], f):
                 return f"psi{r} e({i}) exchange on {show(f)}"
             return None
 
         @fam("mixed-left")
-        def _mixed_left(rng: random.Random) -> str | None:
+        def _mixed_left() -> str | None:
             f = _rand_flat(rng, n, words)
-            r = rng.randint(1, n - 1)
-            i = rng.choice(words)
+            r = 1 + _below(bits, n - 1)
+            i = word()
             lhs = [(1, (PSI(r), X(r), E(i))), (-1, (X(r + 1), PSI(r), E(i)))]
             rhs = [(1, (E(i),))] if i[r - 1] == i[r] else []
             if not check_equal(lhs, rhs, f):
@@ -621,10 +725,10 @@ def relation_suite(Q: Quiver, d: DimVector, trials: int = 100, seed: int = 0) ->
             return None
 
         @fam("mixed-right")
-        def _mixed_right(rng: random.Random) -> str | None:
+        def _mixed_right() -> str | None:
             f = _rand_flat(rng, n, words)
-            r = rng.randint(1, n - 1)
-            i = rng.choice(words)
+            r = 1 + _below(bits, n - 1)
+            i = word()
             lhs = [(1, (X(r), PSI(r), E(i))), (-1, (PSI(r), X(r + 1), E(i)))]
             rhs = [(1, (E(i),))] if i[r - 1] == i[r] else []
             if not check_equal(lhs, rhs, f):
@@ -632,11 +736,12 @@ def relation_suite(Q: Quiver, d: DimVector, trials: int = 100, seed: int = 0) ->
             return None
 
         @fam("psi-square")
-        def _square(rng: random.Random) -> str | None:
+        def _square() -> str | None:
             f = _rand_flat(rng, n, words)
-            r = rng.randint(1, n - 1)
-            i = rng.choice(words)
-            rhs = _poly_terms(q_factor(Q, n, i[r - 1], i[r], r), (E(i),))
+            r = 1 + _below(bits, n - 1)
+            i = word()
+            key = (i[r - 1], i[r], r)
+            rhs = after_e(square_rhs, key, lambda: q_factor(Q, n, *key), i)
             if not check_equal([(1, (PSI(r), PSI(r), E(i)))], rhs, f):
                 return f"psi{r}^2 e({i}) on {show(f)}"
             return None
@@ -644,25 +749,28 @@ def relation_suite(Q: Quiver, d: DimVector, trials: int = 100, seed: int = 0) ->
     if n >= 3:
 
         @fam("x-distant")
-        def _xdist(rng: random.Random) -> str | None:
+        def _xdist() -> str | None:
             f = _rand_flat(rng, n, words)
-            r = rng.randint(1, n - 1)
-            others = [s for s in range(1, n + 1) if s not in (r, r + 1)]
-            s = rng.choice(others)
+            r = 1 + _below(bits, n - 1)
+            # a choice among the n - 2 positions other than r, r + 1, in order
+            s = 1 + _below(bits, n - 2)
+            if s >= r:
+                s += 2
             if not check_equal([(1, (PSI(r), X(s)))], [(1, (X(s), PSI(r)))], f):
                 return f"psi{r} x{s} on {show(f)}"
             return None
 
         @fam("braid")
-        def _braid(rng: random.Random) -> str | None:
+        def _braid() -> str | None:
             f = _rand_flat(rng, n, words)
-            r = rng.randint(1, n - 2)
-            i = rng.choice(words)
+            r = 1 + _below(bits, n - 2)
+            i = word()
             lhs = [
                 (1, (PSI(r), PSI(r + 1), PSI(r), E(i))),
                 (-1, (PSI(r + 1), PSI(r), PSI(r + 1), E(i))),
             ]
-            rhs = _poly_terms(braid_correction(Q, n, i, r), (E(i),))
+            key = (i[r - 1], i[r], i[r + 1], r)
+            rhs = after_e(braid_rhs, key, lambda: braid_correction(Q, n, i, r), i)
             if not check_equal(lhs, rhs, f):
                 return f"braid at {r} on e({i}), {show(f)}"
             return None
@@ -670,24 +778,24 @@ def relation_suite(Q: Quiver, d: DimVector, trials: int = 100, seed: int = 0) ->
     if n >= 4:
 
         @fam("psi-distant")
-        def _psidist(rng: random.Random) -> str | None:
+        def _psidist() -> str | None:
             f = _rand_flat(rng, n, words)
-            r = rng.randint(1, n - 3)
-            s = rng.randint(r + 2, n - 1)
+            r = 1 + _below(bits, n - 3)
+            s = r + 2 + _below(bits, n - r - 2)
             if not check_equal([(1, (PSI(r), PSI(s)))], [(1, (PSI(s), PSI(r)))], f):
                 return f"psi{r} psi{s} on {show(f)}"
             return None
 
     @fam("degree-homogeneity")
-    def _homog(rng: random.Random) -> str | None:
-        i = rng.choice(words)
-        exps = tuple(rng.randint(0, 2) for _ in range(n))
-        f = {(i, exps): rng.choice((1, 2, -1))}
+    def _homog() -> str | None:
+        i = word()
+        exps = tuple(_below(bits, 3) for _ in range(n))
+        f = {(i, exps): (1, 2, -1)[_below(bits, 3)]}
         in_deg = 2 * sum(exps) + word_offset(Q, i)
-        gens: list[tuple] = [E(rng.choice(words)), X(rng.randint(1, n))]
+        gens: list[tuple] = [E(word()), X(1 + _below(bits, n))]
         if n >= 2:
-            gens.append(PSI(rng.randint(1, n - 1)))
-        atom = rng.choice(gens)
+            gens.append(PSI(1 + _below(bits, n - 1)))
+        atom = gens[_below(bits, len(gens))]
         shift = atom_degree(Q, atom, i)
         degs = show(_apply_terms(Q, [(1, (atom,))], f)).offset_degrees(Q)
         if degs and degs != {in_deg + shift}:
@@ -699,8 +807,8 @@ def relation_suite(Q: Quiver, d: DimVector, trials: int = 100, seed: int = 0) ->
         failures = 0
         witness = None
         for t in range(trials):
-            rng = random.Random(f"{seed}:{name}:{t}")
-            w = fn(rng)
+            rng.seed(f"{seed}:{name}:{t}")
+            w = fn()
             if w is not None:
                 failures += 1
                 if witness is None:

@@ -19,7 +19,7 @@ import time
 import pytest
 
 import quiverchow
-from quiverchow import cli
+from quiverchow import cli, klrpoly, quiver
 from quiverchow.cli import main
 from quiverchow.homotopy import complex_to_json, parse_handle, random_complex
 from quiverchow.nilrep import parse_multisegment, semisimple_class
@@ -288,8 +288,11 @@ def test_complex_validate_fuzz_never_crashes(capsys, tmp_path):
     ["gdim-table", "--quiver", "A2", "--dim", "1,1", "--threads", "0"],
     ["gdim", "--quiver", "A2", "--dim", "1,1", "--mode", "compare",
      "--word-i", "0,1", "--word-j", "1,0", "--trunc", "1000000000"],
+    ["suite", "relations", "--trials", str(cli.MAX_TRIALS + 1)],
+    ["klr-selftest", "--quiver", "A2", "--dim", "1,1", "--trials", str(cli.MAX_TRIALS + 1)],
+    ["suite", "homotopy", "--count", str(cli.MAX_TRIALS + 1)],
 ], ids=["trials", "selftest-trials", "count", "trunc", "max-total", "threads",
-        "threads-zero", "trunc-huge"])
+        "threads-zero", "trunc-huge", "trials-huge", "selftest-trials-huge", "count-huge"])
 def test_out_of_range_flags_are_usage_errors(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
@@ -311,6 +314,49 @@ def test_out_of_domain_inputs_are_refused(capsys, argv):
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, words", [
+    (["klr-selftest", "--quiver", "A3", "--dim", "7,7,7", "--trials", "1"], "399072960 words"),
+    (["klr-selftest", "--quiver", "A1", "--dim", "100000000"], "100000000 strands"),
+    (["suite", "relations", "--max-total", "13"], "60060 words"),
+    (["suite", "relations", "--max-total", "1000000"], "65 strands"),
+], ids=["selftest-words", "selftest-strands", "suite-words", "suite-strands"])
+def test_relation_suite_size_is_refused_before_any_word_is_listed(capsys, monkeypatch,
+                                                                   argv, words):
+    # A3 (7,7,7) has 21!/(7!)^3 words, far above the bound, and A1 at 10^8
+    # strands would draw 10^8 exponents per trial; suite relations checks
+    # every (Q, d) before its first case, so no relation suite runs either
+    def refuse(*args):
+        raise AssertionError("content_words ran")
+
+    monkeypatch.setattr(klrpoly, "content_words", refuse)
+    if argv[0] == "suite":
+        monkeypatch.setattr(cli, "relation_suite", refuse)
+    t0 = time.monotonic()
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+    assert words in captured.err
+    assert time.monotonic() - t0 < 1.0
+
+
+def test_paving_oracle_total_above_the_bound_is_refused(capsys):
+    assert cli.MAX_ORACLE_TOTAL == 5
+    t0 = time.monotonic()
+    for total in ("6", "30"):
+        code = main(["suite", "paving-oracle", "--max-total", total])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == (f"error: suite paving-oracle --max-total {total} is above "
+                                f"the bound of 5\n")
+    assert time.monotonic() - t0 < 1.0
+    # the bound itself is allowed: its cases are built (not run here)
+    assert len(cli.paving_oracle_cases(5)) > len(cli.paving_oracle_cases(4))
 
 
 def test_gdim_table_refuses_too_many_blocks_before_any_work(capsys):
@@ -526,6 +572,24 @@ def test_suite_relations_small_run(capsys):
     assert doc["schema"] == "suite/1"
     assert doc["ok"] is True
     assert doc["cases"] and all(case["ok"] for case in doc["cases"])
+
+
+def test_paving_oracle_cases_share_one_composition_list_per_d(monkeypatch):
+    # built lazily, by the first case of each d
+    calls = []
+
+    def counted(d):
+        calls.append(d)
+        return quiver.enumerate_compositions(d)
+
+    monkeypatch.setattr(cli, "enumerate_compositions", counted)
+    cases = cli.paving_oracle_cases(2)
+    assert calls == []
+    serial = [fn() for _, fn in cases]
+    assert all(ok for ok, _ in serial)
+    assert len(cases) > len(calls) == len(set(calls)) > 1
+    # two threads may both build a list; the verdicts are the same
+    assert cli._fan_out(lambda case: case[1](), cli.paving_oracle_cases(2), 2) == serial
 
 
 def test_suite_reports_a_failing_case(capsys, monkeypatch):

@@ -19,6 +19,7 @@ from __future__ import annotations
 import hashlib
 import random
 import re
+import types
 from fractions import Fraction
 from itertools import permutations
 
@@ -263,6 +264,17 @@ def test_operator_degrees_match_action():
     assert atom_degree(A2, ("e", (0, 1)), (0, 1)) == 0
 
 
+def test_word_offset_counts_arrows_forward_and_refuses_bad_letters():
+    # one unit per pair k < l with an arrow i_k -> i_l; a letter outside the
+    # quiver raises, and a negative one does not wrap to the last vertex
+    A3 = parse_quiver("A3")
+    assert klrpoly.word_offset(A3, (0, 1, 2, 1)) == 3
+    assert klrpoly.word_offset(parse_quiver("cyclic:2"), (1, 0, 1)) == 2
+    for word in ((0, 3), (0, -1), (-1,)):
+        with pytest.raises(ValueError):
+            klrpoly.word_offset(A3, word)
+
+
 def test_relation_suite_clean_on_sample_pairs():
     cases = [("A1", (2,)), ("A2", (1, 1)), ("cyclic:2", (1, 1)),
              ("cyclic:1", (2,)), ("A3", (1, 1, 1))]
@@ -299,6 +311,72 @@ def test_flat_draws_are_the_pinned_inputs():
                     flat = klrpoly._rand_flat(rng, sum(d), words)
                     h.update(repr((sorted(flat.items()), rng.getstate())).encode())
     assert h.hexdigest() == _DRAW_DIGEST
+
+
+# SHA-256 over the generator state at the end of every trial of
+# `relation_suite`, in trial order, on the (Q, d) and seeds above; and over
+# the term list and flat input of every fold a trial asks for
+_TRIAL_STATE_DIGEST = "dff70ca5adf9a46feff98635baf504c241dcc46008a167c9b7b67ff390e1f6ae"
+_TRIAL_INPUT_DIGEST = "5ee545fdfe94cb73deb683ff3f0898f68ce799f0b213b6689f789d19b3b1dc4a"
+
+
+def test_every_trial_ends_in_the_pinned_generator_state(monkeypatch):
+    h = hashlib.sha256()
+    h_in = hashlib.sha256()
+    live = [None]  # the generator of the running trial
+    real_apply = klrpoly._apply_terms
+
+    def flush():
+        if live[0] is not None:
+            h.update(repr(live[0].getstate()).encode())
+
+    class Recording(random.Random):
+        # a trial starts when a generator is seeded from its trial name;
+        # the generator of the trial before is then in its end state
+        def seed(self, a=None, version=2):
+            if a is not None:
+                flush()
+                h.update(repr(a).encode())
+                live[0] = self
+            super().seed(a, version)
+
+    def recorded(Q, terms, flat):
+        h_in.update(repr((terms, sorted(flat.items()))).encode())
+        return real_apply(Q, terms, flat)
+
+    monkeypatch.setattr(klrpoly, "random", types.SimpleNamespace(Random=Recording))
+    monkeypatch.setattr(klrpoly, "_apply_terms", recorded)
+    for spec, d in (("A2", (1, 1)), ("A3", (1, 2, 1)), ("cyclic:2", (2, 1)),
+                    ("cyclic:3", (1, 1, 2))):
+        for seed in (0, 1):
+            assert relation_suite(parse_quiver(spec), DimVector(d), trials=10, seed=seed).ok
+            flush()
+            live[0] = None
+    assert h.hexdigest() == _TRIAL_STATE_DIGEST
+    assert h_in.hexdigest() == _TRIAL_INPUT_DIGEST
+
+
+def test_raw_bit_draws_equal_the_random_module():
+    # _below and _sample give the values of randrange, randint, choice and
+    # sample (k <= 2, pools on both sides of sample's small-set size 21)
+    # and leave the generator in the same state
+    below, sample = klrpoly._below, klrpoly._sample
+    pools = [tuple(range(m)) for m in (1, 2, 3, 5, 12, 20, 21, 22, 23, 90)]
+    for seed in range(300):
+        a, b = random.Random(seed), random.Random(seed)
+        bits = b.getrandbits
+        for m in (1, 2, 3, 4, 5, 6, 7, 8, 12, 63, 64, 65, 1000):
+            assert a.randrange(m) == below(bits, m)
+            assert a.randint(1, m) == 1 + below(bits, m)
+            assert a.randrange(5, 5 + m) == 5 + below(bits, m)
+        for pool in pools:
+            assert a.choice(pool) == pool[below(bits, len(pool))]
+            for k in range(min(len(pool), 2) + 1):
+                assert a.sample(pool, k) == sample(bits, pool, k)
+        assert a.getstate() == b.getstate()
+    for m in (0, -3):
+        with pytest.raises(ValueError):
+            below(random.Random(0).getrandbits, m)
 
 
 def test_relation_suite_catches_a_flipped_arrow_factor(monkeypatch):

@@ -14,7 +14,7 @@ import os
 
 import pytest
 
-from quiverchow import cli, extalg, homotopy, linalg, paving, series
+from quiverchow import cli, extalg, homotopy, klrpoly, linalg, paving, series
 from quiverchow.quiver import DimVector, enumerate_compositions
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -79,6 +79,23 @@ def test_paving_oracle_case_counts_through_the_cli_name(monkeypatch):
     assert ok
     comps = list(enumerate_compositions(DimVector((1, 2))))
     assert len(comps) > 1 and len(calls) == 3 * len(comps)
+
+
+def test_relations_case_runs_one_suite_through_the_cli_name(monkeypatch):
+    # the klrpoly.relation_suite layer sees every suite only if each case
+    # calls it once, through cli.relation_suite
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append((args, kwargs))
+        return klrpoly.relation_suite(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "relation_suite", counted)
+    cases = dict(cli.relations_cases(3, 4, 1))
+    assert calls == []
+    ok, _ = cases["A3 1,1,1"]()
+    assert ok
+    assert len(calls) == 1
 
 
 def test_cache_and_aliases_the_benchmark_checks():
