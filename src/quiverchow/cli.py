@@ -64,6 +64,12 @@ from .series import DEFAULT_TRUNC, HalfLaurentSeries, bgl, first_discrepancy
 
 INF = float("inf")
 
+# orbits, paving, count, gdim and gdim-table refuse a dimension vector of
+# larger total before any work: the paving recursion and the oracle go one
+# level deeper per flag step, up to total(d) levels (the same bound as the
+# strands of klrpoly.MAX_SUITE_STRANDS).
+MAX_DIM_TOTAL = 64
+
 # --trunc above this is refused: a truncated product is held as one dense
 # list over the exponents up to --trunc.
 MAX_TRUNC = 1000
@@ -226,9 +232,17 @@ def build_parser() -> argparse.ArgumentParser:
 # small commands
 
 
+def _bounded_total(d: DimVector) -> DimVector:
+    if d.total > MAX_DIM_TOTAL:
+        raise ValueError(
+            f"dimension vector {d} has total {d.total}, above the bound of {MAX_DIM_TOTAL}"
+        )
+    return d
+
+
 def cmd_orbits(args) -> tuple[int, str]:
     Q = parse_quiver(args.quiver)
-    d = parse_dimvector(args.dim)
+    d = _bounded_total(parse_dimvector(args.dim))
     rows = [
         {
             "rep": str(M),
@@ -262,7 +276,7 @@ def _parse_rep(Q: Quiver, d: DimVector, text: str) -> Multisegment:
 
 def cmd_paving(args) -> tuple[int, str]:
     Q = parse_quiver(args.quiver)
-    d = parse_dimvector(args.dim)
+    d = _bounded_total(parse_dimvector(args.dim))
     M = _parse_rep(Q, d, args.rep)
     comp = parse_composition(args.comp, Q.n)
     cells = paving_cells(Q, M, comp)
@@ -320,7 +334,7 @@ def _flag_bound(M: Multisegment, comp: Composition, q: int) -> int | None:
 
 def cmd_count(args) -> tuple[int, str]:
     Q = parse_quiver(args.quiver)
-    d = parse_dimvector(args.dim)
+    d = _bounded_total(parse_dimvector(args.dim))
     M = _parse_rep(Q, d, args.rep)
     comp = parse_composition(args.comp, Q.n)
     if _flag_bound(M, comp, args.q) is None:
@@ -348,7 +362,7 @@ def cmd_count(args) -> tuple[int, str]:
 
 def cmd_gdim(args) -> tuple[int, str]:
     Q = parse_quiver(args.quiver)
-    d = parse_dimvector(args.dim)
+    d = _bounded_total(parse_dimvector(args.dim))
     N = args.trunc
     doc = {"schema": "gdim/1", "quiver": str(Q), "dim": list(d), "mode": args.mode,
            "trunc": N}
@@ -414,6 +428,7 @@ def cmd_gdim_table(args) -> tuple[int, str]:
             f"gdim-table would compute at least 4^{d.total - 1} blocks (at least "
             f"2^{d.total - 1} compositions squared), above the bound of {MAX_TABLE_BLOCKS}"
         )
+    _bounded_total(d)
     n_comps = count_compositions(d) if args.all_comps else multinomial(d)
     if n_comps**2 > MAX_TABLE_BLOCKS:
         raise ValueError(

@@ -11,7 +11,9 @@ on the n! Artin monomials under each idempotent, a basis of the polynomial
 representation over the central symmetric polynomials) and the smash
 product of a polynomial ring with a symmetric group (exact arithmetic,
 invertibility by a linear solve on the group algebra's regular
-representation).  Every shipped handle decides equality exactly.
+representation).  Every shipped handle decides equality exactly, and
+keeps its costly decisions in a memo keyed on the element's value, so a
+minimization that scans the same entry again decides it once.
 
 The operations are the desk-scale shadow of the weight-structure toolkit:
 cohomological shift and internal twist, mapping cones, stupid (weight)
@@ -24,6 +26,7 @@ type, and fixes minimal complexes.  The decategorified check is
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 import re
@@ -81,6 +84,30 @@ def _check_handle_size(name: str, words: int, n: int) -> None:
 # ---------------------------------------------------------------------------
 # algebra handles
 
+_MISS = object()
+
+
+def _memoised(method):
+    """Keep a handle method's answers in the handle's `_memo` dict, keyed on
+    the method name and its positional arguments by value, so each element
+    is decided once per handle: a `KLROperator` hashes by (Q, n, canonical
+    merged terms) and a `SmashElement` by its terms, never by identity.
+    A hit returns the very object the first call returned.  That is safe
+    because results are never modified: nothing in the package mutates an
+    element's `terms` in place, and callers only read a `block_basis` list.
+    The memo lives as long as its handle."""
+    name = method.__name__
+
+    @functools.wraps(method)
+    def memoised(self, *args):
+        key = (name, *args)
+        out = self._memo.get(key, _MISS)
+        if out is _MISS:
+            out = self._memo[key] = method(self, *args)
+        return out
+
+    return memoised
+
 
 class AlgebraHandle:
     """What a complex needs from its algebra beyond element arithmetic.
@@ -90,7 +117,8 @@ class AlgebraHandle:
     `units_per_shift` (native internal degree carried by one twist unit),
     `idempotents`, `zero` and `unit(idem)`, the exact decisions `is_zero`,
     `is_block_homogeneous` and `invert_degree_zero`, `block_basis`, and the
-    expression atoms used by the parser and renderer.
+    expression atoms used by the parser and renderer.  A handle whose
+    decisions are costly wraps them in `_memoised` and owns a `_memo` dict.
     """
 
     name: str
@@ -160,7 +188,10 @@ class KLRHandle(AlgebraHandle):
     symmetric polynomials on the Artin monomials x^a with a_k <= k - 1, so
     an element is zero exactly when it kills x^a e(i) for every Artin
     exponent a and idempotent i: n! inputs per idempotent, and equality,
-    homogeneity and degree-zero inversion are exact decisions.
+    homogeneity and degree-zero inversion are exact decisions.  Each of
+    them, and each block basis, is memoised per handle on the element's
+    value and the other arguments (`_memoised`), so minimizing a complex
+    decides a repeated entry once.
     """
 
     def __init__(self, Q: Quiver, d: DimVector, name: str | None = None):
@@ -179,7 +210,7 @@ class KLRHandle(AlgebraHandle):
             for w in self.idempotents
             for exps in artin
         ]
-        self._basis_cache: dict = {}
+        self._memo: dict = {}
 
     def zero(self):
         return KLROperator.zero(self.Q, self.n)
@@ -187,11 +218,13 @@ class KLRHandle(AlgebraHandle):
     def unit(self, idem):
         return KLROperator.e(self.Q, self.n, idem)
 
+    @_memoised
     def is_zero(self, a) -> bool:
         if not a.terms:
             return True
         return all(a.apply(f).is_zero() for _, _, f in self._inputs)
 
+    @_memoised
     def is_block_homogeneous(self, a, frm, to, degree: int) -> bool:
         if not a.terms:
             return True
@@ -209,12 +242,10 @@ class KLRHandle(AlgebraHandle):
                 return False
         return True
 
+    @_memoised
     def block_basis(self, frm, to, degree: int) -> list:
         """psi_w x^a e(frm) for each w carrying frm to to, in lexicographic
         order of w, and each exponent vector a filling up the degree."""
-        key = (frm, to, degree)
-        if key in self._basis_cache:
-            return self._basis_cache[key]
         Q, n = self.Q, self.n
         idem = KLROperator.e(Q, n, frm)
         basis = []
@@ -227,9 +258,9 @@ class KLRHandle(AlgebraHandle):
                 psi = psi * KLROperator.psi(Q, n, r)
             for exps in monomials_of_degree(n, rem // 2):
                 basis.append(psi * KLROperator.from_poly(Q, n, Poly.monomial(n, exps)) * idem)
-        self._basis_cache[key] = basis
         return basis
 
+    @_memoised
     def invert_degree_zero(self, a, frm, to):
         basis = self.block_basis(to, frm, 0)
         if not basis:
@@ -287,7 +318,10 @@ class KLRHandle(AlgebraHandle):
 
 class SmashHandle(AlgebraHandle):
     """Smash product of the polynomial ring on n variables (degree 1 each)
-    with S_n; exact arithmetic, one idempotent, unital."""
+    with S_n; exact arithmetic, one idempotent, unital.  The degree-zero
+    inverse, a linear solve on the regular representation, is memoised per
+    handle on the element's value; the zero test and homogeneity read the
+    reduced terms directly and cost about as much as a lookup."""
 
     def __init__(self, n: int, name: str | None = None):
         if n < 1:
@@ -298,6 +332,7 @@ class SmashHandle(AlgebraHandle):
         self.units_per_shift = 1
         self.idempotents = ("e",)
         self._perms = sorted(itertools.permutations(range(n)))
+        self._memo: dict = {}
 
     def zero(self):
         return SmashElement.zero(self.n)
@@ -320,6 +355,7 @@ class SmashHandle(AlgebraHandle):
             for w in self._perms
         ]
 
+    @_memoised
     def invert_degree_zero(self, a, frm, to):
         constant = (0,) * self.n
         if any(e != constant for _, e in a.terms):

@@ -116,42 +116,44 @@ def all_segments(Q: Quiver, max_length: int) -> list[Segment]:
     return out
 
 
+# enumerate_nilreps refuses a dimension vector with more classes than this;
+# every geometric computation over d visits each class at least once.
+MAX_STRATA = 1_000
+
+
 @functools.lru_cache(maxsize=None)
 def enumerate_nilreps(Q: Quiver, d: DimVector) -> tuple[Multisegment, ...]:
     """All multisegments with dimension vector d, canonically ordered.
 
     Segment lengths never exceed total(d), so the search space is finite.
-    Computed once per (Q, d); the result is an immutable tuple shared by
-    every caller.
+    Each recursion level chooses one more segment type with at least one
+    copy, so the depth is at most total(d).  More than `MAX_STRATA` classes
+    is a ValueError, raised while enumerating.  Computed once per (Q, d);
+    the result is an immutable tuple shared by every caller.
     """
     if len(d) != Q.n:
         raise ValueError("dimension vector does not match the quiver")
-    total = d.total
-    segs = all_segments(Q, total)
+    segs = [(s, s.support(Q)) for s in all_segments(Q, d.total)]
     results: list[Multisegment] = []
 
-    def rec(idx: int, remaining: list[int], chosen: list[Segment]) -> None:
-        if all(r == 0 for r in remaining):
+    def rec(start: int, remaining: list[int], chosen: list[Segment]) -> None:
+        if not any(remaining):
+            if len(results) == MAX_STRATA:
+                raise ValueError(
+                    f"dimension vector {d} on {Q} has more than {MAX_STRATA} "
+                    f"nilpotent classes, above the bound"
+                )
             results.append(Multisegment(tuple(chosen)))
             return
-        if idx == len(segs):
-            return
-        s = segs[idx]
-        supp = s.support(Q)
-        # max copies of this segment that still fit
-        max_copies = min(
-            (remaining[v] // supp.count(v) for v in set(supp)), default=0
-        )
-        for copies in range(max_copies, -1, -1):
-            new_rem = remaining[:]
-            ok = True
-            for v in supp:
-                for _ in range(copies):
-                    new_rem[v] -= 1
-            if min(new_rem) < 0:
-                ok = False
-            if ok:
-                rec(idx + 1, new_rem, chosen + [s] * copies)
+        for idx in range(start, len(segs)):
+            s, supp = segs[idx]
+            # most copies of this segment that still fit
+            most = min(remaining[v] // supp.count(v) for v in set(supp))
+            for copies in range(most, 0, -1):
+                left = remaining[:]
+                for v in supp:
+                    left[v] -= copies
+                rec(idx + 1, left, chosen + [s] * copies)
 
     rec(0, list(d), [])
     return tuple(sorted(results, key=lambda m: m.segments))

@@ -22,13 +22,18 @@ by them, with no elimination and no linear solve.
 An `FqOracle(Q, M, q)` holds the materialized M and counts each literal
 quotient (the same matrices with the same remaining steps) once, for every
 composition counted through it; that memo lives as long as the oracle, and
-`count_points` without one builds a fresh oracle for the call.
+`count_points` without one builds a fresh oracle for the call.  When every
+arrow acts by zero, every first step leaves the same zero quotient, so the
+oracle counts the steps by enumerating their echelon forms without forming
+them and counts that one quotient once.  That is still a direct
+enumeration: it uses no formula for the count and no paving recursion.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from math import prod
 from operator import mul
 
 from .linalg import kernel_basis
@@ -294,22 +299,35 @@ class FqOracle:
         if hit is not None:
             return hit
         step = parts[0]
-        kernels = rep.socle_kernels()
         p = rep.p
         total = 0
-        if all(step[v] <= len(kernels[v]) for v in rep.Q.vertices):
-            # a reduced echelon R times the reduced echelon kernel K is
-            # again reduced echelon, so each first step R.K reaches
-            # `quotient` in the form it reads pivots from
-            per_vertex_choices = []
-            for v, kernel in enumerate(kernels):
-                columns = list(zip(*kernel))
-                per_vertex_choices.append([
-                    [[sum(map(mul, row, col)) % p for col in columns] for row in rmat]
-                    for rmat in _rref_matrices(step[v], len(kernel), p)
-                ])
-            for graded_choice in itertools.product(*per_vertex_choices):
-                total += self._count_flags(rep.quotient(list(graded_choice)), parts[1:])
+        if not any(entries):
+            # every arrow acts by zero: the kernel is the whole space, and
+            # every first step leaves the same zero quotient on dims - step,
+            # so the steps are counted one by one without forming them and
+            # that one quotient is counted once
+            steps = prod(
+                sum(1 for _ in _rref_matrices(k, m, p)) for k, m in zip(step, rep.dims)
+            )
+            if steps:
+                dims = [m - k for k, m in zip(step, rep.dims)]
+                zero = {(s, t): [[0] * dims[s] for _ in range(dims[t])] for (s, t) in rep.mats}
+                total = steps * self._count_flags(_MatRep(rep.Q, dims, zero, p), parts[1:])
+        else:
+            kernels = rep.socle_kernels()
+            if all(step[v] <= len(kernels[v]) for v in rep.Q.vertices):
+                # a reduced echelon R times the reduced echelon kernel K is
+                # again reduced echelon, so each first step R.K reaches
+                # `quotient` in the form it reads pivots from
+                per_vertex_choices = []
+                for v, kernel in enumerate(kernels):
+                    columns = list(zip(*kernel))
+                    per_vertex_choices.append([
+                        [[sum(map(mul, row, col)) % p for col in columns] for row in rmat]
+                        for rmat in _rref_matrices(step[v], len(kernel), p)
+                    ])
+                for graded_choice in itertools.product(*per_vertex_choices):
+                    total += self._count_flags(rep.quotient(list(graded_choice)), parts[1:])
         self._memo[key] = total
         return total
 

@@ -277,6 +277,117 @@ def test_complex_validate_fuzz_never_crashes(capsys, tmp_path):
     assert seen == {0, 1, 2}
 
 
+_GEO_QUIVERS = ("A1", "A2", "A3", "cyclic:1", "cyclic:2", "cyclic:3")
+_GEO_NOISE = ("", " ", ",", ";", "+", "(", ")", "-1", "x", ",,", "0", "()",
+              "(0,0)", "(9,1)", "(-1,2)", "1;", "99")
+
+
+def _noisy(rng: random.Random, text: str) -> str:
+    roll = rng.random()
+    if roll < 0.1:
+        return "".join(rng.choice(_GEO_NOISE) for _ in range(rng.randint(1, 4)))
+    if roll < 0.2:
+        k = rng.randint(0, len(text))
+        return text[:k] + rng.choice(_GEO_NOISE) + text[k:]
+    return text
+
+
+def _fuzz_geometric_argv(rng: random.Random) -> list[str]:
+    """A paving, count, gdim or gdim-table command line on a small random
+    representation, mostly well formed, with noise spliced into its
+    --dim, --rep, --comp and --word-i/--word-j values."""
+    spec = rng.choice(_GEO_QUIVERS) if rng.random() < 0.93 else rng.choice(
+        ("A0", "B2", "cyclic:0", "cyclic:-1", "", "cyclic:x"))
+    n = int(spec[-1]) if spec[-1:] in ("1", "2", "3") else rng.randint(1, 3)
+    cyclic = spec.startswith("cyclic")
+    command = rng.choice(("paving", "count", "gdim", "gdim-table"))
+    segments = []
+    for _ in range(rng.randint(0, 2 if command == "gdim-table" else 3)):
+        v = rng.randrange(n) if rng.random() < 0.95 else rng.choice((-1, n))
+        top = 3 if cyclic else v + 1 if 0 <= v < n else 2
+        segments.append((v, rng.randint(1, top) if rng.random() < 0.95 else rng.choice((0, 4))))
+    d = [0] * n
+    for v, length in segments:
+        for k in range(length):
+            u = v - length + 1 + k
+            d[u % n if cyclic else min(max(u, 0), n - 1)] += 1
+    if rng.random() < 0.1:
+        d[rng.randrange(n)] += rng.choice((-1, 1))
+    argv = [command, "--quiver", spec, "--dim", _noisy(rng, ",".join(map(str, d)))]
+    if command in ("paving", "count"):
+        rep = "+".join(f"({v},{length})" for v, length in segments) or "0"
+        parts = [[0] * n for _ in range(rng.randint(1, 4))]
+        for v, dv in enumerate(d):
+            for _ in range(max(dv, 0)):
+                rng.choice(parts)[v] += 1
+        comp = ";".join(",".join(map(str, p)) for p in parts if any(p) or rng.random() < 0.05)
+        argv += ["--rep", _noisy(rng, rep), "--comp", _noisy(rng, comp)]
+        if command == "count":
+            argv += ["--q", rng.choice(("2", "3", "5", "4", "1", "x"))]
+    elif command == "gdim":
+        argv += ["--mode", rng.choice(("geo", "alg", "compare")),
+                 "--trunc", rng.choice(("0", "4", "8"))]
+        for flag in ("--word-i", "--word-j"):
+            if rng.random() < 0.95:
+                word = [v for v in range(n) for _ in range(max(d[v], 0))]
+                rng.shuffle(word)
+                if word and rng.random() < 0.1:
+                    word[rng.randrange(len(word))] = rng.choice((-1, n))
+                argv += [flag, _noisy(rng, ",".join(map(str, word)))]
+    else:
+        argv += ["--trunc", rng.choice(("0", "4"))]
+        if rng.random() < 0.5:
+            argv.append("--all-comps")
+    return argv
+
+
+def test_geometric_commands_fuzz_never_crash(capsys):
+    # every command line ends in a JSON document (0) or one error line (1),
+    # in bounded time and without a traceback; all run in this process
+    rng = random.Random(20260)
+    ran = set()
+    for _ in range(300):
+        argv = _fuzz_geometric_argv(rng)
+        t0 = time.monotonic()
+        try:
+            code = main(argv)
+        except Exception as exc:  # a traceback on the command line
+            pytest.fail(f"{argv}: {exc!r}")
+        elapsed = time.monotonic() - t0
+        captured = capsys.readouterr()
+        assert code in (0, 1), argv
+        if code == 0:
+            json.loads(captured.out)
+            ran.add(argv[0])
+        else:
+            assert captured.out == "", argv
+            lines = captured.err.splitlines()
+            assert sum("error: " in line for line in lines) == 1, argv
+            assert lines[-1].startswith(("error: ", f"quiverchow {argv[0]}: error: ")), argv
+        assert elapsed < 2.0, f"{argv} took {elapsed:.1f}s"
+    assert ran == {"paving", "count", "gdim", "gdim-table"}
+
+
+def test_geometric_commands_refuse_a_large_total(capsys):
+    # totals 992 and 199 are above cli.MAX_DIM_TOTAL: unbounded, 992
+    # recursed past the interpreter's limit and 199 enumerated the
+    # partitions of 199 for minutes; 64 points on the loop are inside it
+    # but have more nilpotent classes than nilrep.MAX_STRATA
+    for argv in (
+        ["gdim-table", "--quiver", "A1", "--dim", "992", "--trunc", "0"],
+        ["gdim-table", "--quiver", "cyclic:1", "--dim", "992", "--trunc", "4"],
+        ["orbits", "--quiver", "cyclic:1", "--dim", "992"],
+        ["gdim-table", "--quiver", "cyclic:1", "--dim", "199", "--trunc", "4"],
+        ["gdim-table", "--quiver", "cyclic:1", "--dim", str(cli.MAX_DIM_TOTAL)],
+    ):
+        t0 = time.monotonic()
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 1, argv
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, argv
+        assert time.monotonic() - t0 < 2.0, argv
+
+
 @pytest.mark.parametrize("argv", [
     ["suite", "relations", "--trials", "-3"],
     ["klr-selftest", "--quiver", "A2", "--dim", "1,1", "--trials", "0"],

@@ -23,7 +23,7 @@ import random
 
 import pytest
 
-from quiverchow import homotopy
+from quiverchow import cli, homotopy
 from quiverchow.homotopy import (
     ChainMap,
     GradedComplex,
@@ -460,3 +460,73 @@ def test_exact_decisions_agree_with_larger_input_set(spec):
                     assert _reference_is_zero(_reference_outputs(inputs, side - unit)), spec
     assert zero_seen == {True, False} and homog_seen == {True, False}, spec
     assert inverses, spec
+
+
+# the handle methods whose answers the handle memoises
+MEMOISED = ("is_zero", "is_block_homogeneous", "invert_degree_zero", "block_basis")
+
+
+def _recorded_suite_case(monkeypatch, spec):
+    """Run the `homotopy_cases(25, 0)` case of spec and return its handle
+    and every (method, arguments) the case asked of it, in order."""
+    asked, handles = [], []
+
+    def recording(text):
+        h = parse_handle(text)
+        for name in MEMOISED:
+            def record(*args, _method=getattr(h, name), _name=name):
+                asked.append((_name, args))
+                return _method(*args)
+            setattr(h, name, record)
+        handles.append(h)
+        return h
+
+    monkeypatch.setattr(cli, "parse_handle", recording)
+    ok, detail = dict(cli.homotopy_cases(25, 0))[spec]()
+    assert ok, detail
+    assert len(handles) == 1
+    return handles[0], asked
+
+
+@pytest.mark.parametrize("spec", cli.HOMOTOPY_HANDLES)
+def test_memoised_decisions_equal_a_fresh_handles(monkeypatch, spec):
+    h, asked = _recorded_suite_case(monkeypatch, spec)
+    distinct = list(dict.fromkeys(asked))
+    assert len(distinct) < len(asked), spec  # the case repeats questions
+    # every distinct question once more at a wrong degree and in every block
+    wrong_degree, extra = [], []
+    blocks = list(itertools.product(h.idempotents, repeat=2))
+    for name, args in distinct:
+        if name == "is_block_homogeneous":
+            a, _, _, degree = args
+            wrong_degree.append((name, args[:3] + (degree + 1,)))
+            extra += [(name, (a, frm, to, degree)) for frm, to in blocks]
+        elif name == "invert_degree_zero":
+            extra += [(name, (args[0], frm, to)) for frm, to in blocks]
+    fresh = {}
+    for name, args in asked + wrong_degree + extra:
+        # the handle's memoised answer, not the recorder's
+        answer = getattr(type(h), name)(h, *args)
+        if (name, args) not in fresh:
+            fresh[name, args] = getattr(parse_handle(spec), name)(*args)
+        assert answer == fresh[name, args], (spec, name, args)
+    inverses = {fresh[q] is None for q in fresh if q[0] == "invert_degree_zero"}
+    assert inverses == {True, False}, spec
+    assert False in {fresh[q] for q in wrong_degree}, spec
+
+
+def test_a_second_handle_starts_with_an_empty_memo():
+    for spec in cli.HOMOTOPY_HANDLES:
+        first = parse_handle(spec)
+        c = random_complex(first, random.Random(f"memo:{spec}"))
+        assert len(minimize(cone(identity_map(c)))) == 0
+        assert first._memo, spec
+        assert parse_handle(spec)._memo == {}, spec
+    # keyed on the value: an equal element built anew finds the same answer
+    h = parse_handle("nilhecke:2")
+    idem = h.idempotents[0]
+    a = parse_element(h, "2*e(0,0)")
+    b = parse_element(h, "2*e(0,0)")
+    assert a is not b
+    inv = h.invert_degree_zero(a, idem, idem)
+    assert inv is not None and h.invert_degree_zero(b, idem, idem) is inv

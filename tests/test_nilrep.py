@@ -17,6 +17,7 @@ import random
 
 import pytest
 
+from quiverchow import nilrep
 from quiverchow.nilrep import (
     Multisegment,
     Segment,
@@ -97,6 +98,22 @@ def test_enumerate_nilreps_dims_match():
 def test_enumerate_nilreps_zero_dim():
     classes = enumerate_nilreps(LOOP, DimVector((0,)))
     assert len(classes) == 1 and classes[0].is_empty()
+
+
+def test_enumerate_nilreps_refuses_past_the_class_bound(monkeypatch):
+    # the uncached function, so no earlier call answers from the cache
+    enumerate_uncached = enumerate_nilreps.__wrapped__
+    assert len(enumerate_uncached(LOOP, DimVector((20,)))) == partitions_count(20) == 627
+    monkeypatch.setattr(nilrep, "MAX_STRATA", partitions_count(6))
+    assert len(enumerate_uncached(LOOP, DimVector((6,)))) == partitions_count(6)
+    with pytest.raises(ValueError, match="nilpotent classes"):
+        enumerate_uncached(LOOP, DimVector((7,)))
+    # one recursion level per chosen segment type: a remainder that no
+    # longer segment fits is left without a level per segment type tried
+    # (900 levels would pass the interpreter's recursion limit)
+    monkeypatch.setattr(nilrep, "MAX_STRATA", 1)
+    with pytest.raises(ValueError, match="nilpotent classes"):
+        enumerate_uncached(LOOP, DimVector((900,)))
 
 
 def test_hom_dim_jordan_blocks():

@@ -338,3 +338,29 @@ def test_one_part_counts_one_exactly_on_semisimple_classes():
                 assert count_points(Q, M, comp, q) == int(semisimple), (spec, str(M), q)
             seen.add(semisimple)
     assert seen == {True, False}
+
+
+def test_semisimple_counts_equal_the_paving_at_q():
+    # every arrow of a semisimple class acts by zero, so the oracle counts
+    # the first steps without forming them and one quotient once; one
+    # oracle per (M, q) serves every composition
+    compared = 0
+    for spec in ("A1", "A2", "A3", "cyclic:1", "cyclic:2", "cyclic:3"):
+        Q = parse_quiver(spec)
+        for d in itertools.product(range(4), repeat=Q.n):
+            dv = DimVector(d)
+            if not 0 < dv.total <= 4:
+                continue
+            M = semisimple_class(Q, dv)
+            comps = list(enumerate_compositions(dv))
+            for q in (2, 3, 5):
+                oracle = FqOracle(Q, M, q)
+                for c in comps:
+                    want = paving_cells(Q, M, c).evaluate(q)
+                    assert count_points(Q, M, c, q, oracle) == want, (spec, d, str(c), q)
+                    compared += 1
+    assert compared > 1000
+    # the largest flag type `count` accepts on four points of the loop
+    M = parse_multisegment("(0,1)+(0,1)+(0,1)+(0,1)")
+    comp = parse_composition("2;2", 1)
+    assert count_points(LOOP, M, comp, 17) == paving_cells(LOOP, M, comp).evaluate(17) == 89_030

@@ -98,6 +98,24 @@ def test_relations_case_runs_one_suite_through_the_cli_name(monkeypatch):
     assert len(calls) == 1
 
 
+def test_homotopy_case_draws_each_trial_through_the_cli_name(monkeypatch):
+    # perfbench splits the latency of a homotopy case into trials at its
+    # calls of cli.random_complex, so a case must make exactly one per trial
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return homotopy.random_complex(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "random_complex", counted)
+    count = 25  # as the homotopy workload runs it, at suite seed 0
+    for spec, fn in cli.homotopy_cases(count, 0):
+        calls.clear()
+        ok, detail = fn()
+        assert ok, detail
+        assert len(calls) == count, spec
+
+
 def test_cache_and_aliases_the_benchmark_checks():
     assert isinstance(paving._paving_cache, dict)
     assert cli.count_points is paving.count_points
