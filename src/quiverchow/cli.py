@@ -19,6 +19,7 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb, prod
 
 from .extalg import Strata, compare_block, gdim_alg_klr, gdim_geo
 from .homotopy import (
@@ -86,6 +87,13 @@ MAX_Q = 10**6
 # type whose bound from M (the product of Gaussian binomials at q in
 # `_flag_bound`) exceeds this is refused before any work.
 MAX_COUNT_FLAGS = 100_000
+
+# paving and gdim --mode geo enumerate, at each flag step, every choice of
+# socle lines for the step; a flag type with a step of more such candidates
+# (`_check_first_steps`) is refused before any work.  A candidate
+# cost 25-70 us at total 10-16 and 40-150 us at total 32-64 (one quotient
+# each; A1 and cyclic:1, 2 cores, Python 3.11), so a step stays under 1 s.
+MAX_PAVING_STEPS = 5_000
 
 # --trials (relation trials per family) and --count (complexes per homotopy
 # handle) above this are usage errors.
@@ -279,6 +287,7 @@ def cmd_paving(args) -> tuple[int, str]:
     d = _bounded_total(parse_dimvector(args.dim))
     M = _parse_rep(Q, d, args.rep)
     comp = parse_composition(args.comp, Q.n)
+    _check_first_steps(comp, len(M.segments))
     cells = paving_cells(Q, M, comp)
     if args.format == "table":
         return 0, f"cells: {list(cells.dims)}\npoincare: {cells}\neuler: {cells.cell_count}"
@@ -295,6 +304,15 @@ def cmd_paving(args) -> tuple[int, str]:
     return 0, _dumps(doc)
 
 
+def _steps(comp: Composition, socle: int):
+    """(room, part) for every step of comp: room[v] = min(r_v, socle), with
+    r_v the dimension left at v before the step."""
+    remaining = list(comp.target)
+    for part in comp.parts:
+        yield [min(r, socle) for r in remaining], part
+        remaining = [r - k for r, k in zip(remaining, part)]
+
+
 def _flag_bound(M: Multisegment, comp: Composition, q: int) -> int | None:
     """An upper bound on the flags of type comp in M over F_q, and on the
     subspaces the oracle enumerates: the product over steps and vertices of
@@ -309,16 +327,11 @@ def _flag_bound(M: Multisegment, comp: Composition, q: int) -> int | None:
     before it were within the bound); None once the product is known to
     exceed MAX_COUNT_FLAGS, where [r choose k]_q >= q^(k(r-k)) stops that
     before any large factor is formed."""
-    remaining = list(comp.target)
-    socle = len(M.segments)
     total = 1
-    for part in comp.parts:
-        room = [min(r, socle) for r in remaining]
+    for room, part in _steps(comp, len(M.segments)):
         if any(k > r for k, r in zip(part, room)):
             return 0
-        for v, k in enumerate(part):
-            r = room[v]
-            remaining[v] -= k
+        for r, k in zip(room, part):
             k = min(k, r - k)
             if k * (r - k) >= MAX_COUNT_FLAGS.bit_length():
                 return None
@@ -330,6 +343,21 @@ def _flag_bound(M: Multisegment, comp: Composition, q: int) -> int | None:
             if total > MAX_COUNT_FLAGS:
                 return None
     return total
+
+
+def _check_first_steps(comp: Composition, socle: int) -> None:
+    """Refuse comp when one of its steps has more than MAX_PAVING_STEPS
+    candidate first steps in a representation with `socle` segments: the
+    product over vertices of C(min(r_v, socle), k_v), the factor of
+    `_flag_bound` at q = 1, which bounds the socle line subsets the paving
+    recursion enumerates for that step."""
+    for room, part in _steps(comp, socle):
+        count = prod(comb(r, k) for r, k in zip(room, part))
+        if count > MAX_PAVING_STEPS:
+            raise ValueError(
+                f"flag type {comp} has a step with {count} candidate first steps "
+                f"(binomials C(min(r_v, {socle}), k_v)), above the bound of {MAX_PAVING_STEPS}"
+            )
 
 
 def cmd_count(args) -> tuple[int, str]:
@@ -370,6 +398,11 @@ def cmd_gdim(args) -> tuple[int, str]:
     if args.mode == "geo":
         ci = _geo_comp(Q, args.comp_i, args.word_i, "--comp-i/--word-i")
         cj = _geo_comp(Q, args.comp_j, args.word_j, "--comp-j/--word-j")
+        # the semisimple stratum has total(d) segments, the most of any; a
+        # word's steps have at most total(d) candidates each, so the words of
+        # mode compare never reach the bound
+        for c in (ci, cj):
+            _check_first_steps(c, d.total)
         series = gdim_geo(Q, d, ci, cj, N)
         doc.update({"i": str(ci), "j": str(cj), "series": _series_json(series)})
         lines = [f"gdim_geo[{ci} | {cj}] = {series}"]
@@ -441,10 +474,10 @@ def cmd_gdim_table(args) -> tuple[int, str]:
         comps = enumerate_complete_comps(Q, d)
     # blocks in the order of (str(i), str(j)); the names are distinct
     named = sorted(((str(c), c) for c in comps), key=lambda nc: nc[0])
-    # one stratification per table, every row filled before the fan-out
+    # one stratification per table, every pack filled before the fan-out
     strata = Strata(Q, d)
     for _, c in named:
-        strata.row(c)
+        strata.pack(c, N)
     pairs = [(i, j) for i in named for j in named]
 
     def one(pair):

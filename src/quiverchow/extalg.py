@@ -16,20 +16,32 @@ $u^{d_j - d_i}$; `compare_block` certifies that identity coefficientwise.
 Both sides are an integer Laurent polynomial times a product of
 $\\mathrm{bgl}$ factors, and both form it with the one kernel
 `series.times_bgl`: division by each $1 - u^{2k}$ as a running sum over one
-dense list of exact integers, to $u^N$ and no further.
+dense list of exact integers, to a given power of u and no further.
 
-Every block of one $(Q, d)$ sums over the same strata, so the geometric side
-reads them from a `Strata` object: the strata of $\\mathrm{Rep}_d$, each
-stratum's orbit dimension and automorphism exponents (computed on first use),
-and one row per composition holding its `dim_qvariety` and its paving cell
-counts in every stratum.  The object lives as long as the caller holds it
-(one table, one suite case); nothing is cached at module level.
+The geometric side is a bilinear form over the strata $M$, in $t = u^2$:
+$\\sum_M \\bar p_i(M) R_j(M)$, with $\\bar p_i(M)$ the cell polynomial of $i$
+in $t^{-1}$ and $R_j(M) = t^{D_j - \\dim O_M} \\bar p_j(M) H_M$, $H_M$ the
+automorphism-group series.  Every block of one $(Q, d)$ sums over the same
+strata, so it reads them from a `Strata` object: the strata of
+$\\mathrm{Rep}_d$, each stratum's orbit dimension and automorphism exponents
+(computed on first use), one row per composition holding its
+`dim_qvariety` and its paving cell counts in every stratum, and one pack
+per (composition, truncation) holding both factors of the composition,
+each stratum's as one Python integer by Kronecker substitution: one slot
+of W bits per power of t.  A block is then one integer product per
+stratum, summed, and one decode of the slots.  Every slot is a
+non-negative integer and carries only move upward, so a W from an exact
+bound on the decoded coefficients (`Strata.width`) reads every one of them
+exactly.  The object lives as long as the caller holds it (one table, one
+suite case); nothing is cached at module level.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from math import comb, factorial, prod
+from operator import mul
 
 from .nilrep import aut_series_exponents, enumerate_nilreps, orbit_dim
 from .paving import paving_cells
@@ -79,24 +91,53 @@ def _check_comp(d: DimVector, c: Composition, n: int) -> None:
         raise ValueError(f"composition {c} does not refine {d}")
 
 
+def _slot_width(bound: int) -> int:
+    """Bits per slot of a packed series whose decoded slots are
+    non-negative integers at most `bound`: its bit length, so that the
+    largest slot, 2^W - 1 at most, never carries into the next one."""
+    return bound.bit_length()
+
+
+def _unpack(value: int, width: int, e0: int, N: int) -> HalfLaurentSeries:
+    """The series with one coefficient per `width`-bit slot of `value`:
+    slot s is the coefficient of u^(e0 + 2s), read up to u^N."""
+    mask = (1 << width) - 1
+    coeffs: dict[int, int] = {}
+    for e in range(e0, N + 1, 2):
+        if not value:
+            break
+        c = value & mask
+        if c:
+            coeffs[e] = c
+        value >>= width
+    return HalfLaurentSeries.from_map(coeffs, N)
+
+
 class Strata:
     """The orbit strata of Rep_d for one (Q, d), shared by the blocks of a call.
 
     `reps` is `enumerate_nilreps(Q, d)`.  `orbit(k)` gives the orbit
     dimension and automorphism exponents of stratum k, computed on first
-    use, so a stratum no block reaches costs nothing.  `row(c)` gives, for a
-    composition c of d, `dim_qvariety(Q, c)` and the paving cell counts of
-    c in every stratum (no counts where the variety is empty); it checks
-    once that c refines d and keeps the row.  Filling the same entry twice
-    stores the same value, so blocks may read one object from several
-    threads.
+    use, so a stratum where every composition's paving is empty costs
+    nothing.  `row(c)` gives, for a composition c of d, `dim_qvariety(Q,
+    c)` and the paving cell counts of c in every stratum (no counts where
+    the variety is empty); it checks once that c refines d and keeps the
+    row.  `pack(c, N)` gives the two factors of c in `gdim_geo` to u^N,
+    each stratum's as one integer.  Filling the same entry twice stores the
+    same value, so blocks may read one object from several threads.
+
+    `h`, the dimension of the complete flag variety of d, bounds every
+    cell dimension: a flag of any type lies in a partial flag variety of d.
     """
 
     def __init__(self, Q: Quiver, d: DimVector):
         self.Q = Q
         self.d = d
+        self.h = sum(comb(e, 2) for e in d)
         self._orbits: dict[int, tuple[int, tuple[int, ...]]] = {}
         self._rows: dict[Composition, tuple[int, tuple[tuple[tuple[int, int], ...], ...]]] = {}
+        self._widths: dict[int, int] = {}
+        self._packs: dict[tuple[Composition, int], tuple[int, tuple[int, ...], tuple[int, ...]]] = {}
 
     @functools.cached_property
     def reps(self):
@@ -117,6 +158,68 @@ class Strata:
             hit = self._rows[c] = (dim_qvariety(self.Q, c), cells)
         return hit
 
+    def width(self, N: int) -> int:
+        """Slot width of every pack to u^N, from a bound on the coefficients
+        of any block to u^N that no composition can exceed.
+
+        Write t = u^2.  The coefficient of t^x in a block (i, j) is
+        sum over strata M and cells (c1, m1) of i, (c2, m2) of j of
+        m1 m2 H_M[x + c1 + c2 - D_j + orbit_dim(M)], with H_M the product of
+        bgl(m) over the automorphism exponents of M.  The paving recursion
+        picks per step and vertex a subset of at most r_v socle lines, r_v
+        the dimension left, so a flag type has at most prod_v d_v! cells in
+        M; each cell dimension is at most h, D_j >= 0 and orbit_dim(M) <=
+        sum_v d_v^2, so for x <= N/2 the index is at most K = N//2 + 2h +
+        sum_v d_v^2.  M has at most n = total(d) segments, so H_M is
+        coefficientwise at most (1 - t)^(-n), whose coefficients
+        C(k + n - 1, n - 1) grow with k.  The coefficient is therefore at
+        most #strata * (prod_v d_v!)^2 * C(K + n - 1, n - 1)."""
+        hit = self._widths.get(N)
+        if hit is None:
+            n = self.d.total
+            cells = prod(factorial(e) for e in self.d)
+            K = max(N // 2 + 2 * self.h + sum(e * e for e in self.d), 0)
+            aut = comb(K + n - 1, n - 1) if n else 1
+            hit = self._widths[N] = _slot_width(len(self.reps) * cells * cells * aut)
+        return hit
+
+    def pack(
+        self, c: Composition, N: int
+    ) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+        """(lo, left, right) for c to u^N, one integer per stratum M in each
+        factor, slots of `width(N)` bits, one per power of t = u^2.
+
+        With P_c(M) = sum of m t^(-k) over the cells (k, m) of c in M,
+        `left` packs t^h P_c(M): slot h - k holds m.  `right` packs R_c(M) =
+        t^(D_c - orbit_dim(M)) P_c(M) H_M, exact up to t^(N//2 + h), with
+        slot x - lo for t^x; lo is the lowest exponent of any stratum's
+        R_c.  Both are 0 where the paving of c is empty.  Every slot is a
+        non-negative integer: cell counts and partition counts."""
+        key = (c, N)
+        hit = self._packs.get(key)
+        if hit is None:
+            D, cells = self.row(c)
+            W = self.width(N)
+            h = self.h
+            top = N // 2 + h
+            left = tuple(sum(m << W * (h - k) for k, m in counts) for counts in cells)
+            lows = {
+                k: D - self.orbit(k)[0] - counts[-1][0]
+                for k, counts in enumerate(cells) if counts
+            }
+            lo = min(lows.values(), default=0)
+            right = []
+            for k, counts in enumerate(cells):
+                if k not in lows or lows[k] > top:
+                    right.append(0)
+                    continue
+                shift, exps = self.orbit(k)
+                poly = {2 * (D - shift - c2): m for c2, m in counts}
+                series = times_bgl(poly, exps, 2 * top)
+                right.append(sum(v << W * (e // 2 - lo) for e, v in series.items()))
+            hit = self._packs[key] = (lo, left, tuple(right))
+        return hit
+
 
 def gdim_geo(
     Q: Quiver,
@@ -128,37 +231,29 @@ def gdim_geo(
 ) -> HalfLaurentSeries:
     """Stratified Chow series of the block (i, j), truncated at u^N.
 
-    Every stratum M contributes u^{2(d_j - orbit_dim(M))} times the product
-    of the two cell count polynomials, sum of m u^{-2c} over the (c, m)
-    counts of each paving, times the automorphism-group series of M, the
-    product of bgl(m) over `aut_series_exponents(M)`.  Strata with the same
-    exponents are summed first and multiplied by their bgl product once,
-    with `times_bgl` on integer coefficients, exact to u^N (it is linear in
-    the polynomial); the exponent grid is even.  `strata` holds the strata
-    of (Q, d) across calls; a fresh one is built when it is absent.
+    In t = u^2 it is the sum over strata M of P_i(M) R_j(M): P_i(M) is
+    the cell polynomial of i in M, sum of m t^(-c) over its (c, m) counts,
+    and R_j(M) = t^(D_j - orbit_dim(M)) P_j(M) H_M, with H_M the product
+    of bgl(m) over `aut_series_exponents(M)` (the form u^(D_j - D_i) sum
+    of p̄_i(M) p̄_j(M) H_M in the stalk vectors p_c(M) = u^(orbit_dim(M)
+    - D_c) P_c(M)(u^-2)).  `Strata.pack` holds both factors of every
+    composition, each stratum's as one integer with a slot per power of t,
+    so the sum is one integer product per stratum and one decode.
+
+    Every slot of the sum is a non-negative integer, so carries only move
+    upward, and `Strata.width` bounds every coefficient up to u^N, so those
+    slots decode exactly.  R_j is exact to t^(N//2 + h) and no cell of i is
+    above h, so each of them is complete.  `strata` holds the strata of
+    (Q, d) across calls; a fresh one is built when it is absent.
     """
     if strata is None:
         strata = Strata(Q, d)
     elif strata.Q != Q or strata.d != d:
         raise ValueError(f"strata of {strata.Q} {strata.d} given for {Q} {d}")
-    row_i = strata.row(i)[1]
-    dj, row_j = strata.row(j)
-    groups: dict[tuple[int, ...], dict[int, int]] = {}
-    for k, (cells_i, cells_j) in enumerate(zip(row_i, row_j)):
-        if not cells_i or not cells_j:
-            continue
-        shift, exps = strata.orbit(k)
-        coeffs = groups.setdefault(exps, {})
-        top = dj - shift
-        for c1, m1 in cells_i:
-            for c2, m2 in cells_j:
-                e = 2 * (top - c1 - c2)
-                coeffs[e] = coeffs.get(e, 0) + m1 * m2
-    total: dict[int, int] = {}
-    for exps, coeffs in groups.items():
-        for e, c in times_bgl(coeffs, exps, N).items():
-            total[e] = total.get(e, 0) + c
-    return HalfLaurentSeries.from_map(total, N)
+    left = strata.pack(i, N)[1]
+    lo, _, right = strata.pack(j, N)
+    total = sum(map(mul, left, right))
+    return _unpack(total, strata.width(N), 2 * (lo - strata.h), N)
 
 
 def gdim_alg_klr(

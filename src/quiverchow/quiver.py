@@ -143,7 +143,16 @@ class Composition:
 
     @staticmethod
     def from_word(word, n: int) -> "Composition":
-        return Composition(tuple(unit_vector(n, v) for v in word))
+        """The complete composition of a word in the vertices 0..n-1.  The n
+        unit vectors are built once per call, as tuples of 0 and 1 that need
+        no validation, and shared by the letters."""
+        units = [tuple.__new__(DimVector, (0,) * v + (1,) + (0,) * (n - 1 - v)) for v in range(n)]
+        parts = []
+        for v in word:
+            if not 0 <= v < n:
+                raise ValueError(f"letter {v} of word {tuple(word)} is not a vertex of 0..{n - 1}")
+            parts.append(units[v])
+        return Composition(tuple(parts))
 
     def __str__(self) -> str:
         return ";".join(str(p) for p in self.parts)

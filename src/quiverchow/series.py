@@ -173,15 +173,13 @@ class HalfLaurentSeries:
 
 def first_discrepancy(a: HalfLaurentSeries, b: HalfLaurentSeries) -> int | None:
     """Smallest exponent within both windows where the coefficients differ,
-    None when the series agree on the common window."""
+    None when the series agree on the common window.  One pass over the
+    exponents of either series, each looked up in both coefficient maps."""
     window = min(a.trunc, b.trunc)
-    exps = sorted(
-        {e for e, _ in a.coeffs if e <= window} | {e for e, _ in b.coeffs if e <= window}
-    )
-    for e in exps:
-        if a.coefficient(e) != b.coefficient(e):
-            return e
-    return None
+    ca = dict(a.coeffs)
+    cb = dict(b.coeffs)
+    gaps = [e for e in ca.keys() | cb.keys() if e <= window and ca.get(e, 0) != cb.get(e, 0)]
+    return min(gaps, default=None)
 
 
 @functools.lru_cache(maxsize=None)

@@ -15,6 +15,7 @@ import random
 import subprocess
 import sys
 import time
+from math import comb
 
 import pytest
 
@@ -90,14 +91,19 @@ def test_gdim_geo_accepts_compositions(capsys):
 
 
 def test_gdim_table_threads_do_not_change_bytes(capsys):
-    outs = []
-    for threads in ("1", "2", "4"):
-        code, out = run_cli(capsys, "gdim-table", "--quiver", "A2",
-                            "--dim", "1,1", "--all-comps", "--trunc", "10",
-                            "--threads", threads)
-        assert code == 0
-        outs.append(out)
-    assert outs[0] == outs[1] == outs[2]
+    # the A3 table is the benchmark's 1,936 blocks, with their recorded bytes
+    for argv, threads, digest in (
+        (["--quiver", "A2", "--dim", "1,1", "--all-comps", "--trunc", "10"], ("1", "2", "4"), None),
+        (["--quiver", "A3", "--dim", "1,2,1", "--all-comps"], ("1", "2"), "370091adaa657da2"),
+    ):
+        outs = []
+        for t in threads:
+            code, out = run_cli(capsys, "gdim-table", *argv, "--threads", t)
+            assert code == 0
+            outs.append(out)
+        assert len(set(outs)) == 1, argv
+        if digest is not None:
+            assert hashlib.sha256(outs[0].encode()).hexdigest()[:16] == digest
 
 
 def test_klr_selftest_passes(capsys):
@@ -542,6 +548,50 @@ def test_count_refuses_too_many_flags_before_any_work(capsys, monkeypatch):
     assert captured.err.startswith("error: ")
     assert captured.err.count("\n") == 1
     assert str(cli.MAX_COUNT_FLAGS) in captured.err
+
+
+def test_paving_and_gdim_refuse_a_step_past_the_candidate_bound(capsys, monkeypatch):
+    # "32;32" in the semisimple A1 class of total 64 has C(64, 32) first
+    # steps, which the paving recursion would enumerate one by one
+    def boom(*args):
+        raise AssertionError("paving work before the refusal")
+
+    monkeypatch.setattr(cli, "paving_cells", boom)
+    monkeypatch.setattr(cli, "gdim_geo", boom)
+    rep = "+".join(["(0,1)"] * 64)
+    for argv in (
+        ["paving", "--quiver", "A1", "--dim", "64", "--rep", rep, "--comp", "32;32"],
+        ["gdim", "--quiver", "A1", "--dim", "64", "--mode", "geo",
+         "--comp-i", "64", "--comp-j", "32;32"],
+        ["gdim", "--quiver", "A1", "--dim", "64", "--mode", "geo",
+         "--comp-i", "32;32", "--comp-j", "64", "--format", "table"],
+    ):
+        t0 = time.monotonic()
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert time.monotonic() - t0 < 1.0, argv
+        assert code == 1, argv
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert str(comb(64, 32)) in captured.err and str(cli.MAX_PAVING_STEPS) in captured.err
+
+
+def test_first_step_candidates_are_the_flag_bound_at_q_one(capsys):
+    # C(14, 7) = 3,432 is inside the bound and C(16, 8) = 12,870 is not; in
+    # M = (0,8)+(0,8) a step has room for min(r, 2) socle lines, so C(2, 8)
+    # = 0 candidates: no flag, and no refusal
+    assert comb(14, 7) <= cli.MAX_PAVING_STEPS < comb(16, 8)
+    for n, code in ((14, 0), (16, 1)):
+        rep = "+".join(["(0,1)"] * n)
+        got = main(["paving", "--quiver", "A1", "--dim", str(n), "--rep", rep,
+                    "--comp", f"{n // 2};{n // 2}"])
+        captured = capsys.readouterr()
+        assert got == code, n
+        if code == 0:
+            assert json.loads(captured.out)["euler"] == comb(n, n // 2)
+    code, out = run_cli(capsys, "paving", "--quiver", "cyclic:1", "--dim", "16",
+                        "--rep", "(0,8)+(0,8)", "--comp", "8;8")
+    assert code == 0 and json.loads(out)["cells"] == []
 
 
 def _semisimple(spec: str, dim: tuple[int, ...]):

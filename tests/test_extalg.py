@@ -26,6 +26,8 @@ from quiverchow.extalg import (
     BlockKey,
     GdimReport,
     Strata,
+    _slot_width,
+    _unpack,
     compare_block,
     gdim_alg_klr,
     gdim_geo,
@@ -280,10 +282,11 @@ def _alg_by_series_mul(Q, i, j, N):
 
 @pytest.mark.parametrize("spec,dims", [
     ("A1", [(1,), (2,), (3,), (4,), (5,)]),
-    ("A2", [(1, 1), (2, 1)]),
+    ("A2", [(1, 1), (2, 1), (2, 2)]),
     ("A3", [(1, 2, 1)]),
     ("cyclic:1", [(1,), (2,), (3,), (4,)]),
     ("cyclic:2", [(2, 1)]),
+    ("cyclic:3", [(1, 1, 1)]),
 ])
 def test_blocks_equal_series_multiplication_reference(spec, dims):
     # every block over all compositions (geometric side) and every pair of
@@ -294,7 +297,7 @@ def test_blocks_equal_series_multiplication_reference(spec, dims):
     for d in map(DimVector, dims):
         comps = enumerate_compositions(d)
         shared = Strata(Q, d)
-        for N in (2, 24):
+        for N in (0, 1, 2, 7, 24):
             for ci in comps:
                 for cj in comps:
                     want = _geo_by_series_mul(Q, d, ci, cj, N)
@@ -302,8 +305,50 @@ def test_blocks_equal_series_multiplication_reference(spec, dims):
                     got = gdim_geo(Q, d, ci, cj, N, shared)
                     assert got == want, ("shared", d, str(ci), str(cj), N)
         words = [c.word() for c in enumerate_complete_comps(Q, d)]
-        for N in (-1, 2, 24):
+        for N in (-1, 0, 1, 2, 7, 24):
             for i in words:
                 for j in words:
                     got = gdim_alg_klr(Q, d, i, j, N)
                     assert got == _alg_by_series_mul(Q, i, j, N), (d, i, j, N)
+
+
+def test_a_slot_at_two_to_the_width_minus_one_decodes_exactly():
+    # two strata, in t = u^2: (1 + 2t)(102 + t) + 3 * 51 has slots 255, 205
+    # and 2; 255 = 2^8 - 1 bounds them, so slots are 8 bits wide, and at 7
+    # bits the lowest slot carries into the next one
+    def packed(slots, width):
+        return sum(c << width * k for k, c in enumerate(slots))
+
+    def decode(width):
+        left = [packed([1, 2], width), packed([3], width)]
+        right = [packed([102, 1], width), packed([51], width)]
+        return _unpack(sum(a * b for a, b in zip(left, right)), width, -2, 6)
+
+    want = series_of({-2: 255, 0: 205, 2: 2}, 6)
+    width = _slot_width(255)
+    assert width == 8
+    assert decode(width) == want
+    assert decode(width - 1) != want
+    # slots above u^N are not read
+    assert decode(width) == decode(width).truncate(6)
+    assert _unpack(packed([255, 205, 2], width), width, -2, 0) == series_of({-2: 255, 0: 205}, 0)
+
+
+def test_rows_filled_after_the_first_block_equal_the_reference():
+    # one Strata answers a block, then takes the rows and packs of every
+    # other composition at two truncations; its width for N does not depend
+    # on which compositions came first
+    Q = parse_quiver("cyclic:2")
+    d = DimVector((2, 1))
+    comps = enumerate_compositions(d)
+    strata = Strata(Q, d)
+    first = comps[len(comps) // 2]
+    assert gdim_geo(Q, d, first, first, 24, strata) == _geo_by_series_mul(Q, d, first, first, 24)
+    assert list(strata._rows) == [first]
+    for N in (24, 7):
+        for ci in comps:
+            for cj in comps:
+                want = _geo_by_series_mul(Q, d, ci, cj, N)
+                assert gdim_geo(Q, d, ci, cj, N, strata) == want, (str(ci), str(cj), N)
+    assert len(strata._rows) == len(comps)
+    assert strata.width(24) == Strata(Q, d).width(24)

@@ -122,6 +122,12 @@ def test_composition_from_word_roundtrip():
     c = Composition.from_word(word, 2)
     assert c.complete
     assert c.word() == word
+    assert c == Composition(tuple(unit_vector(2, v) for v in word))
+    assert all(type(p) is DimVector for p in c.parts)
+    assert Composition.from_word((), 3) == Composition(())
+    for bad in ((0, 2), (0, -1)):
+        with pytest.raises(ValueError, match="not a vertex"):
+            Composition.from_word(bad, 2)
 
 
 def test_complete_comps_count_is_multinomial():

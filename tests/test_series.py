@@ -95,6 +95,20 @@ def test_first_discrepancy_finds_lowest_mismatch():
     assert first_discrepancy(a, a) is None
 
 
+def test_first_discrepancy_at_an_exponent_only_one_series_has():
+    # u^-2 is in b alone and u^6 in a alone; the lower one is the answer,
+    # in either order, and a term above the common window does not count
+    a = HalfLaurentSeries.from_map({0: 1, 2: 2, 6: 1}, trunc=8)
+    b = HalfLaurentSeries.from_map({-2: 3, 0: 1, 2: 2}, trunc=8)
+    assert first_discrepancy(a, b) == -2
+    assert first_discrepancy(b, a) == -2
+    c = HalfLaurentSeries.from_map({0: 1, 2: 2}, trunc=8)
+    assert first_discrepancy(a, c) == 6
+    assert first_discrepancy(c, a) == 6
+    assert first_discrepancy(a, c.truncate(4)) is None
+    assert first_discrepancy(HalfLaurentSeries.zero(), c) == 0
+
+
 def test_agreement_respects_common_truncation():
     # series equal below the tighter truncation agree, whatever lies above it
     a = HalfLaurentSeries.from_map({0: 1, 2: 1}, trunc=2)
@@ -163,8 +177,8 @@ def test_times_bgl_edge_cases():
 
 
 def test_times_bgl_is_linear_in_the_polynomial():
-    # gdim_geo sums the strata that share bgl exponents before one
-    # times_bgl, which is exact because the product is linear
+    # the product is linear in the polynomial at every truncation, also
+    # below the lowest exponent of either summand
     rng = random.Random(7)
 
     def add(x, y):
