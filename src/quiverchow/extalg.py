@@ -19,8 +19,8 @@ $\\mathrm{bgl}$ factors, and both form it with the one kernel
 dense list of exact integers, to a given power of u and no further.
 
 The geometric side is a bilinear form over the strata $M$, in $t = u^2$:
-$\\sum_M \\bar p_i(M) R_j(M)$, with $\\bar p_i(M)$ the cell polynomial of $i$
-in $t^{-1}$ and $R_j(M) = t^{D_j - \\dim O_M} \\bar p_j(M) H_M$, $H_M$ the
+$\\sum_M P_i(M) R_j(M)$, with $P_i(M)$ the cell polynomial of $i$ in
+$t^{-1}$ and $R_j(M) = t^{D_j - \\dim O_M} P_j(M) H_M$, $H_M$ the
 automorphism-group series.  Every block of one $(Q, d)$ sums over the same
 strata, so it reads them from a `Strata` object: the strata of
 $\\mathrm{Rep}_d$, each stratum's orbit dimension and automorphism exponents

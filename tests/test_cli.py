@@ -576,7 +576,7 @@ def test_paving_and_gdim_refuse_a_step_past_the_candidate_bound(capsys, monkeypa
         assert str(comb(64, 32)) in captured.err and str(cli.MAX_PAVING_STEPS) in captured.err
 
 
-def test_first_step_candidates_are_the_flag_bound_at_q_one(capsys):
+def test_first_step_candidates_are_binomials_of_the_socle_room(capsys):
     # C(14, 7) = 3,432 is inside the bound and C(16, 8) = 12,870 is not; in
     # M = (0,8)+(0,8) a step has room for min(r, 2) socle lines, so C(2, 8)
     # = 0 candidates: no flag, and no refusal
