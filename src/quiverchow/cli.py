@@ -18,7 +18,6 @@ import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb, prod
 
 from .extalg import Strata, compare_block, gdim_alg_klr, gdim_geo
@@ -95,6 +94,12 @@ MAX_COUNT_FLAGS = 100_000
 # each; A1 and cyclic:1, 2 cores, Python 3.11), so a step stays under 1 s.
 MAX_PAVING_STEPS = 5_000
 
+# paving prints every cell once (the `cells` list, or the table's line),
+# 3-4 bytes each for A1 at total 7-14 (a 10,000-cell document is about 40
+# KB); a flag type with more cells is refused before that list is built,
+# and on a semisimple M before the paving recursion.
+MAX_PAVING_CELLS = 10_000
+
 # --trials (relation trials per family) and --count (complexes per homotopy
 # handle) above this are usage errors.
 MAX_TRIALS = 10_000
@@ -114,16 +119,12 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _jsonable(v):
-    if type(v) is Fraction:
-        return str(v)
-    return v
-
-
 def _series_json(s: HalfLaurentSeries) -> dict:
+    """A graded dimension as JSON; its coefficients are `int`s (canonical
+    form, see `series`), which json writes as they are."""
     return {
         "trunc": None if s.trunc == INF else s.trunc,
-        "coeffs": {str(e): _jsonable(c) for e, c in s.coeffs},
+        "coeffs": {str(e): c for e, c in s.coeffs},
     }
 
 
@@ -287,8 +288,11 @@ def cmd_paving(args) -> tuple[int, str]:
     d = _bounded_total(parse_dimvector(args.dim))
     M = _parse_rep(Q, d, args.rep)
     comp = parse_composition(args.comp, Q.n)
-    _check_first_steps(comp, len(M.segments))
+    bound = _check_first_steps(comp, len(M.segments))
+    if M.is_semisimple() and comp.target == d:
+        _check_cell_count(comp, bound)
     cells = paving_cells(Q, M, comp)
+    _check_cell_count(comp, cells.cell_count)
     if args.format == "table":
         return 0, f"cells: {list(cells.dims)}\npoincare: {cells}\neuler: {cells.cell_count}"
     doc = {
@@ -345,12 +349,18 @@ def _flag_bound(M: Multisegment, comp: Composition, q: int) -> int | None:
     return total
 
 
-def _check_first_steps(comp: Composition, socle: int) -> None:
+def _check_first_steps(comp: Composition, socle: int) -> int:
     """Refuse comp when one of its steps has more than MAX_PAVING_STEPS
     candidate first steps in a representation with `socle` segments: the
     product over vertices of C(min(r_v, socle), k_v), the factor of
     `_flag_bound` at q = 1, which bounds the socle line subsets the paving
-    recursion enumerates for that step."""
+    recursion enumerates for that step.
+
+    Returns the product of those counts over the steps, a bound on the
+    cells of comp.  On a semisimple M of dimension comp.target it is their
+    number: there every r_v is at most `socle`, and every choice of socle
+    lines is a cell whose quotient is semisimple again."""
+    total = 1
     for room, part in _steps(comp, socle):
         count = prod(comb(r, k) for r, k in zip(room, part))
         if count > MAX_PAVING_STEPS:
@@ -358,6 +368,16 @@ def _check_first_steps(comp: Composition, socle: int) -> None:
                 f"flag type {comp} has a step with {count} candidate first steps "
                 f"(binomials C(min(r_v, {socle}), k_v)), above the bound of {MAX_PAVING_STEPS}"
             )
+        total *= count
+    return total
+
+
+def _check_cell_count(comp: Composition, count: int) -> None:
+    if count > MAX_PAVING_CELLS:
+        raise ValueError(
+            f"flag type {comp} has {count} cells, above the bound of {MAX_PAVING_CELLS} "
+            f"that paving prints"
+        )
 
 
 def cmd_count(args) -> tuple[int, str]:

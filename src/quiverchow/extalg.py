@@ -102,15 +102,16 @@ def _unpack(value: int, width: int, e0: int, N: int) -> HalfLaurentSeries:
     """The series with one coefficient per `width`-bit slot of `value`:
     slot s is the coefficient of u^(e0 + 2s), read up to u^N."""
     mask = (1 << width) - 1
-    coeffs: dict[int, int] = {}
+    coeffs = []
     for e in range(e0, N + 1, 2):
         if not value:
             break
         c = value & mask
         if c:
-            coeffs[e] = c
+            coeffs.append((e, c))
         value >>= width
-    return HalfLaurentSeries.from_map(coeffs, N)
+    # ascending exponents up to N, non-zero int slots: canonical as read
+    return HalfLaurentSeries._canonical(tuple(coeffs), N)
 
 
 class Strata:
@@ -119,10 +120,12 @@ class Strata:
     `reps` is `enumerate_nilreps(Q, d)`.  `orbit(k)` gives the orbit
     dimension and automorphism exponents of stratum k, computed on first
     use, so a stratum where every composition's paving is empty costs
-    nothing.  `row(c)` gives, for a composition c of d, `dim_qvariety(Q,
-    c)` and the paving cell counts of c in every stratum (no counts where
-    the variety is empty); it checks once that c refines d and keeps the
-    row.  `pack(c, N)` gives the two factors of c in `gdim_geo` to u^N,
+    nothing.  `word(w)` gives the complete composition of a word w and its
+    `dim_qvariety`, converted once per word and not checked against d.
+    `row(c)` gives, for a composition c of d, `dim_qvariety(Q, c)` and the
+    paving cell counts of c in every stratum (no counts where the variety
+    is empty); it checks once that c refines d and keeps the row.
+    `pack(c, N)` gives the two factors of c in `gdim_geo` to u^N,
     each stratum's as one integer.  Filling the same entry twice stores the
     same value, so blocks may read one object from several threads.
 
@@ -135,6 +138,7 @@ class Strata:
         self.d = d
         self.h = sum(comb(e, 2) for e in d)
         self._orbits: dict[int, tuple[int, tuple[int, ...]]] = {}
+        self._words: dict[tuple[int, ...], tuple[Composition, int]] = {}
         self._rows: dict[Composition, tuple[int, tuple[tuple[tuple[int, int], ...], ...]]] = {}
         self._widths: dict[int, int] = {}
         self._packs: dict[tuple[Composition, int], tuple[int, tuple[int, ...], tuple[int, ...]]] = {}
@@ -148,6 +152,13 @@ class Strata:
         if hit is None:
             M = self.reps[k]
             hit = self._orbits[k] = (orbit_dim(self.Q, M), tuple(aut_series_exponents(M)))
+        return hit
+
+    def word(self, w: tuple[int, ...]) -> tuple[Composition, int]:
+        hit = self._words.get(w)
+        if hit is None:
+            c = Composition.from_word(w, self.Q.n)
+            hit = self._words[w] = (c, dim_qvariety(self.Q, c))
         return hit
 
     def row(self, c: Composition) -> tuple[int, tuple[tuple[tuple[int, int], ...], ...]]:
@@ -221,6 +232,15 @@ class Strata:
         return hit
 
 
+def _strata_for(Q: Quiver, d: DimVector, strata: Strata | None) -> Strata:
+    """`strata` once it is checked to be of (Q, d); fresh strata when None."""
+    if strata is None:
+        return Strata(Q, d)
+    if strata.Q != Q or strata.d != d:
+        raise ValueError(f"strata of {strata.Q} {strata.d} given for {Q} {d}")
+    return strata
+
+
 def gdim_geo(
     Q: Quiver,
     d: DimVector,
@@ -246,10 +266,7 @@ def gdim_geo(
     above h, so each of them is complete.  `strata` holds the strata of
     (Q, d) across calls; a fresh one is built when it is absent.
     """
-    if strata is None:
-        strata = Strata(Q, d)
-    elif strata.Q != Q or strata.d != d:
-        raise ValueError(f"strata of {strata.Q} {strata.d} given for {Q} {d}")
+    strata = _strata_for(Q, d, strata)
     left = strata.pack(i, N)[1]
     lo, _, right = strata.pack(j, N)
     total = sum(map(mul, left, right))
@@ -278,7 +295,8 @@ def gdim_alg_klr(
     coeffs: dict[int, int] = {}
     for _, deg in permutation_degrees(Q, i, j):
         coeffs[deg] = coeffs.get(deg, 0) + 1
-    return HalfLaurentSeries.from_map(times_bgl(coeffs, [1] * n, N), N)
+    # times_bgl keeps ascending exponents up to N with non-zero int values
+    return HalfLaurentSeries._canonical(tuple(times_bgl(coeffs, [1] * n, N).items()), N)
 
 
 def compare_block(
@@ -290,21 +308,26 @@ def compare_block(
     strata: Strata | None = None,
 ) -> GdimReport:
     """Compare the two series for a complete block, coefficientwise to u^N,
-    after the normalization shift u^{d_j - d_i}; `strata` is passed on to
-    `gdim_geo`.  The KLR formula does not cover a loop vertex, so a quiver
-    with a loop is refused."""
+    after the normalization shift u^{d_j - d_i}.  The compositions of the
+    words and their dimensions d_c come from `strata.word` (fresh strata
+    when `strata` is None), which `gdim_geo` then reads.  The KLR formula
+    does not cover a loop vertex, so a quiver with a loop is refused."""
     if any(Q.arrow_count(v, v) for v in Q.vertices):
         raise ValueError(f"{Q} has a loop, which the KLR block formula does not cover")
     i = tuple(i)
     j = tuple(j)
-    ci = Composition.from_word(i, Q.n)
-    cj = Composition.from_word(j, Q.n)
-    shift = dim_qvariety(Q, cj) - dim_qvariety(Q, ci)
+    strata = _strata_for(Q, d, strata)
+    ci, di = strata.word(i)
+    cj, dj = strata.word(j)
+    shift = dj - di
     # the algebraic side first: it refuses a block past the permutation bound
     alg_wide = gdim_alg_klr(Q, d, i, j, max(N, N - shift))
     geo = gdim_geo(Q, d, ci, cj, N, strata)
     alg = alg_wide.truncate(N)
-    shifted = alg_wide.mul(HalfLaurentSeries.monomial(shift)).truncate(N)
+    # alg_wide is exact to u^(N - shift) at least, so its shift is exact to u^N
+    shifted = HalfLaurentSeries._canonical(
+        tuple((e + shift, c) for e, c in alg_wide.coeffs if e + shift <= N), N
+    )
     gap = first_discrepancy(geo, shifted)
     return GdimReport(geo, alg, shift, gap is None, gap)
 

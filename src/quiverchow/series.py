@@ -10,6 +10,15 @@ through inversion and propagate through arithmetic as the minimum of the
 operands' orders shifted by the other factor's lowest exponent.
 `times_bgl` forms an integer polynomial times bgl factors without building
 series: a running sum per factor over one dense list, exact to a given u^N.
+
+Every series is held in canonical form: distinct exponents in ascending
+order, each at most `trunc`, with non-zero coefficients, integral ones as
+`int`.  The public constructor (and `from_map`) puts any input with
+distinct exponents into that form.  A producer whose output is canonical
+by construction builds it with `HalfLaurentSeries._canonical` instead,
+skipping that pass: `truncate` and the exponent shift in
+`extalg.compare_block` filter a canonical tuple, and `extalg._unpack` and
+`extalg.gdim_alg_klr` read ascending non-zero `int` slots up to u^N.
 """
 
 from __future__ import annotations
@@ -33,7 +42,9 @@ def _norm_coeff(c):
 @dataclass(frozen=True)
 class HalfLaurentSeries:
     """coeffs: sorted tuple of (exponent, nonzero coefficient); trunc is the
-    last exponent guaranteed exact (float("inf") for exact polynomials)."""
+    last exponent guaranteed exact (float("inf") for exact polynomials).
+    Construction puts coeffs in the canonical form of the module docstring;
+    only `_canonical`, for the producers named there, skips that."""
 
     coeffs: tuple[tuple[int, int | Fraction], ...]
     trunc: int | float = INF
@@ -61,6 +72,18 @@ class HalfLaurentSeries:
     @staticmethod
     def from_map(coeffs: dict, trunc=INF) -> "HalfLaurentSeries":
         return HalfLaurentSeries(tuple(coeffs.items()), trunc)
+
+    @staticmethod
+    def _canonical(coeffs: tuple, trunc) -> "HalfLaurentSeries":
+        """The series with exactly these coeffs, not normalised.  The caller
+        guarantees the canonical form: exponents distinct and ascending,
+        each at most `trunc`, coefficients non-zero and either `int` or a
+        `Fraction` that is not integral; so the result equals
+        `HalfLaurentSeries(coeffs, trunc)`, with the same tuple."""
+        s = object.__new__(HalfLaurentSeries)
+        object.__setattr__(s, "coeffs", coeffs)
+        object.__setattr__(s, "trunc", trunc)
+        return s
 
     # -- structure ---------------------------------------------------------
 
@@ -150,7 +173,12 @@ class HalfLaurentSeries:
         return HalfLaurentSeries(tuple(b.items()), trunc)
 
     def truncate(self, trunc) -> "HalfLaurentSeries":
-        return HalfLaurentSeries(self.coeffs, min(self.trunc, trunc))
+        """The series to u^trunc; `self` when that keeps every exponent it
+        guarantees."""
+        if trunc >= self.trunc:
+            return self
+        kept = tuple(ec for ec in self.coeffs if ec[0] <= trunc)
+        return HalfLaurentSeries._canonical(kept, trunc)
 
     # -- comparison and rendering ------------------------------------------
 

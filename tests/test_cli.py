@@ -106,6 +106,19 @@ def test_gdim_table_threads_do_not_change_bytes(capsys):
             assert hashlib.sha256(outs[0].encode()).hexdigest()[:16] == digest
 
 
+def test_gdim_command_set_bytes_are_pinned(capsys):
+    # the benchmark's other two gdim parts, with their recorded bytes
+    word = ",".join("0" * 7)
+    for argv, digest in (
+        (["suite", "klr-match"], "db74182ea5e0e53d"),
+        (["gdim", "--quiver", "A1", "--dim", "7", "--mode", "geo",
+          "--word-i", word, "--word-j", word], "982aa9c96c72aad6"),
+    ):
+        code, out = run_cli(capsys, *argv)
+        assert code == 0, argv
+        assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest, argv
+
+
 def test_klr_selftest_passes(capsys):
     code, out = run_cli(capsys, "klr-selftest", "--quiver", "A2",
                         "--dim", "1,1", "--trials", "5", "--seed", "3")
@@ -592,6 +605,53 @@ def test_first_step_candidates_are_binomials_of_the_socle_room(capsys):
     code, out = run_cli(capsys, "paving", "--quiver", "cyclic:1", "--dim", "16",
                         "--rep", "(0,8)+(0,8)", "--comp", "8;8")
     assert code == 0 and json.loads(out)["cells"] == []
+
+
+def test_paving_refuses_a_flag_type_past_the_cell_bound(capsys, monkeypatch):
+    # "2;2;...;2" on the semisimple A1 class has n!/2^(n/2) cells and every
+    # step within MAX_PAVING_STEPS: 2,520 at n = 8 print, 113,400 at n = 10
+    # and about 3e79 at n = 64 are refused, the semisimple ones before the
+    # paving recursion (5.9 s alone at n = 64 in-process, 2 cores, Python
+    # 3.11); C(14, 7) is the largest count the other paving tests print
+    assert max(comb(14, 7), 2_520) <= cli.MAX_PAVING_CELLS < 113_400
+    for fmt in ("json", "table"):
+        code, out = run_cli(capsys, "paving", "--quiver", "A1", "--dim", "8",
+                            "--rep", "+".join(["(0,1)"] * 8), "--comp", "2;2;2;2",
+                            "--format", fmt)
+        assert code == 0
+        assert ("2520" in out) if fmt == "table" else json.loads(out)["euler"] == 2_520
+    paving_cells = cli.paving_cells
+
+    def boom(*args):
+        raise AssertionError("paving work before the refusal")
+
+    for n in (10, 64):
+        monkeypatch.setattr(cli, "paving_cells", boom)
+        for fmt in ("json", "table"):
+            t0 = time.monotonic()
+            code = main(["paving", "--quiver", "A1", "--dim", str(n),
+                         "--rep", "+".join(["(0,1)"] * n),
+                         "--comp", ";".join(["2"] * (n // 2)), "--format", fmt])
+            captured = capsys.readouterr()
+            assert time.monotonic() - t0 < 1.0, n
+            assert code == 1 and captured.out == ""
+            assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+            assert str(cli.MAX_PAVING_CELLS) in captured.err
+    # on a semisimple class the step binomials multiply to the cell count
+    for spec, dim in (("A2", (2, 1)), ("A3", (1, 2, 1)), ("cyclic:2", (2, 2))):
+        d = DimVector(dim)
+        M = _semisimple(spec, dim)
+        for comp in quiver.enumerate_compositions(d):
+            assert cli._check_first_steps(comp, d.total) == paving_cells(
+                parse_quiver(spec), M, comp).cell_count, (spec, str(comp))
+    # a class that is not semisimple is refused on its counted cells: the
+    # complete flags of (0,2)^5 on the loop are 10!/2^5 = 113,400 cells
+    monkeypatch.setattr(cli, "paving_cells", paving_cells)
+    code = main(["paving", "--quiver", "cyclic:1", "--dim", "10",
+                 "--rep", "+".join(["(0,2)"] * 5), "--comp", ";".join(["1"] * 10)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert "113400 cells" in captured.err and captured.err.count("\n") == 1
 
 
 def _semisimple(spec: str, dim: tuple[int, ...]):

@@ -352,3 +352,72 @@ def test_rows_filled_after_the_first_block_equal_the_reference():
                 assert gdim_geo(Q, d, ci, cj, N, strata) == want, (str(ci), str(cj), N)
     assert len(strata._rows) == len(comps)
     assert strata.width(24) == Strata(Q, d).width(24)
+
+
+def test_directly_built_series_are_canonical(monkeypatch):
+    # every series built without the normalising constructor equals its
+    # normalised copy, with the same coefficient tuple and int entries: over
+    # every block of the A3 (1,2,1) table and every klr-match block
+    from quiverchow.cli import klr_match_cases
+
+    make = HalfLaurentSeries._canonical
+    producers: dict[str, int] = {}
+
+    def checked(coeffs, trunc):
+        s = make(coeffs, trunc)
+        again = HalfLaurentSeries(s.coeffs, s.trunc)
+        assert again == s and again.coeffs == s.coeffs, s.coeffs
+        assert all(type(e) is int and type(c) is int for e, c in s.coeffs), s.coeffs
+        caller = sys._getframe(1).f_code.co_name
+        producers[caller] = producers.get(caller, 0) + 1
+        return s
+
+    monkeypatch.setattr(HalfLaurentSeries, "_canonical", staticmethod(checked))
+    Q = parse_quiver("A3")
+    d = DimVector((1, 2, 1))
+    comps = enumerate_compositions(d)
+    for N in (-1, 0, 1, 7, 24):
+        strata = Strata(Q, d)
+        for ci in comps:
+            for cj in comps:
+                gdim_geo(Q, d, ci, cj, N, strata)
+        for name, check in klr_match_cases(N):
+            assert check()[0], (name, N)
+    assert set(producers) == {"_unpack", "gdim_alg_klr", "truncate", "compare_block"}
+    assert producers["_unpack"] >= 5 * len(comps) ** 2
+
+
+def test_compare_block_converts_each_word_once(monkeypatch):
+    # one Strata serves every block of (Q, d): each word becomes a
+    # composition once, and its dim_qvariety comes with it
+    import quiverchow.extalg as extalg
+
+    calls = {"from_word": 0, "dim_qvariety": 0}
+    from_word = Composition.from_word
+
+    def counted_from_word(word, n):
+        calls["from_word"] += 1
+        return from_word(word, n)
+
+    def counted_dim(Q, c):
+        calls["dim_qvariety"] += 1
+        return dim_qvariety(Q, c)
+
+    Q = parse_quiver("A3")
+    d = DimVector((1, 2, 1))
+    words = [c.word() for c in enumerate_complete_comps(Q, d)]
+    monkeypatch.setattr(Composition, "from_word", staticmethod(counted_from_word))
+    monkeypatch.setattr(extalg, "dim_qvariety", counted_dim)
+    strata = Strata(Q, d)
+    for i in words:
+        for j in words:
+            rep = compare_block(Q, d, i, j, 12, strata)
+            assert rep.normalized_match
+            assert rep.shift == dim_qvariety(Q, from_word(j, 3)) - dim_qvariety(Q, from_word(i, 3))
+    # one conversion per word; one dim_qvariety per word and one per row
+    assert calls == {"from_word": len(words), "dim_qvariety": 2 * len(words)}
+    assert compare_block(Q, d, words[0], words[-1], 12) == compare_block(
+        Q, d, words[0], words[-1], 12, strata
+    )
+    with pytest.raises(ValueError, match="strata of"):
+        compare_block(Q, DimVector((1, 1, 1)), (0, 1, 2), (0, 1, 2), 12, strata)
