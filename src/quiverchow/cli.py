@@ -105,8 +105,9 @@ MAX_PAVING_CELLS = 10_000
 MAX_TRIALS = 10_000
 
 # suite paving-oracle: a --max-total above this is refused before any case
-# is built; 5 takes 73-77 s on a 2-core machine (Python 3.11), and each
-# unit more multiplies the multisegments, compositions and flags to count.
+# is built; 5 takes 4-6 s as a process on a 2-core machine (Python 3.11.7),
+# and each unit more multiplies the multisegments, compositions and flags
+# to count.
 MAX_ORACLE_TOTAL = 5
 
 
@@ -790,9 +791,7 @@ def klr_block_check(Q: Quiver, d: DimVector, trunc: int):
                 reports[(i, j)] = rep
         for i in words:
             for j in words:
-                shifted = reports[(j, i)].geometric.mul(
-                    HalfLaurentSeries.monomial(2 * reports[(i, j)].shift)
-                )
+                shifted = reports[(j, i)].geometric.shifted(2 * reports[(i, j)].shift)
                 gap = first_discrepancy(reports[(i, j)].geometric, shifted)
                 if gap is not None:
                     return False, (

@@ -325,10 +325,7 @@ def compare_block(
     geo = gdim_geo(Q, d, ci, cj, N, strata)
     alg = alg_wide.truncate(N)
     # alg_wide is exact to u^(N - shift) at least, so its shift is exact to u^N
-    shifted = HalfLaurentSeries._canonical(
-        tuple((e + shift, c) for e, c in alg_wide.coeffs if e + shift <= N), N
-    )
-    gap = first_discrepancy(geo, shifted)
+    gap = first_discrepancy(geo, alg_wide.shifted(shift, N))
     return GdimReport(geo, alg, shift, gap is None, gap)
 
 

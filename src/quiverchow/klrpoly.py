@@ -539,8 +539,7 @@ _COEFFS = (-3, -2, -1, 1, 2, 3)
 # relation_suite refuses, before listing any word, a (Q, d) with more
 # strands than MAX_SUITE_STRANDS (each trial works on tuples of n exponents
 # and the degree check walks n^2 letter pairs) or with more words of
-# content d than MAX_SUITE_WORDS (the idempotent family sums one term per
-# word).
+# content d than MAX_SUITE_WORDS (every word is listed, to draw from).
 MAX_SUITE_STRANDS = 64
 MAX_SUITE_WORDS = 40_320
 
@@ -640,7 +639,7 @@ def relation_suite(Q: Quiver, d: DimVector, trials: int = 100, seed: int = 0) ->
     # (v, u, r) and (i_r, i_{r+1}, i_{r+2}, r)
     square_rhs: dict = {}
     braid_rhs: dict = {}
-    idempotent_sum = [(1, (("e", w),)) for w in words]
+    content = frozenset(words)
     # one generator for the call, reseeded per trial; the families draw
     # from it through its bound getrandbits
     rng = random.Random()
@@ -688,6 +687,11 @@ def relation_suite(Q: Quiver, d: DimVector, trials: int = 100, seed: int = 0) ->
         j = word()
         if not check_equal([(1, (E(i), E(j)))], [(1, (E(i),))] if i == j else [], f):
             return f"e({i})e({j}) on {show(f)}"
+        # e(w) keeps the keys of f on word w, so each content word that f
+        # carries adds a term and every other e(w) acts by zero: the terms
+        # are read off one pass over f's keys, grouped by word
+        carried = dict.fromkeys(w for w, _ in f)
+        idempotent_sum = [(1, (E(w),)) for w in carried if w in content]
         if not check_equal(idempotent_sum, [(1, ())], f):
             return f"sum of idempotents on {show(f)}"
         return None

@@ -19,14 +19,19 @@ same routine that eliminates over Q elsewhere), and come out in reduced row
 echelon form, so every enumerated first step is in that form too: a
 quotient reads the pivots off the step's rows and reduces each image column
 by them, with no elimination and no linear solve.
-An `FqOracle(Q, M, q)` holds the materialized M and counts each literal
-quotient (the same matrices with the same remaining steps) once, for every
-composition counted through it; that memo lives as long as the oracle, and
-`count_points` without one builds a fresh oracle for the call.  When every
-arrow acts by zero, every first step leaves the same zero quotient, so the
-oracle counts the steps by enumerating their echelon forms without forming
-them and counts that one quotient once.  That is still a direct
-enumeration: it uses no formula for the count and no paving recursion.
+An `FqOracle(Q, M, q)` holds the materialized M and a graph of nodes, one
+per literal quotient (the same dims and the same matrices), shared by every
+composition counted through it.  A node forms its socle kernels at most
+once, and for each first step its children once: the distinct quotients
+its enumerated first steps leave, each with the number of steps that leave
+it.  A count is the sum over the children of multiplicity times the
+child's count with the remaining steps, kept once per (node, steps).  When
+every arrow acts by zero, every first step leaves the same zero quotient,
+so that node has one child, whose multiplicity is the number of echelon
+forms, enumerated once per Grassmannian without forming the steps.  The
+graph lives as long as the oracle, and `count_points` without one builds a
+fresh oracle for the call.  That is still a direct enumeration: it uses no
+formula for the count and no paving recursion.
 """
 
 from __future__ import annotations
@@ -266,16 +271,38 @@ class _MatRep:
         return _MatRep(self.Q, [len(k) for k in keep], new_mats, p)
 
 
+class _Node:
+    """One literal quotient in an oracle's graph, keyed there on its dims
+    and every matrix entry in arrow order.  `rep` is None when every arrow
+    acts by zero.  The socle kernels are formed at most once; `children`
+    maps a first step to its (child node, multiplicity) pairs, and
+    `counts` maps the remaining parts to the flag count."""
+
+    __slots__ = ("dims", "rep", "kernels", "children", "counts")
+
+    def __init__(self, dims: tuple[int, ...], rep: _MatRep | None):
+        self.dims = dims
+        self.rep = rep
+        self.kernels: list[list[list[int]]] | None = None
+        self.children: dict[DimVector, tuple[tuple[_Node, int], ...]] = {}
+        self.counts: dict[tuple[DimVector, ...], int] = {}
+
+
 class FqOracle:
     """Point counts of flags in one representation M over one field F_q.
 
     Call-scoped, like `extalg.Strata`: it holds M materialized as shift
-    matrices over F_q and one memo of flag counts keyed on the literal
-    quotient (dimensions, every matrix entry in arrow order, remaining
-    parts), shared by every composition counted through it.  Q and q are
-    fixed per oracle, so they are not in the key.  The memo never
-    identifies isomorphic quotients, never consults the paving recursion or
-    its cache, and dies with the oracle."""
+    matrices over F_q and a graph of nodes, one per literal quotient
+    (dimensions and every matrix entry in arrow order), shared by every
+    composition counted through it.  A node's children for a first step
+    are the distinct quotients that the enumerated echelon first steps
+    leave, each with the number of steps that leave it, so the count of
+    (node, parts) is the sum over children of multiplicity times the count
+    of (child, parts[1:]), kept once per node and parts.  Q and q are fixed
+    per oracle, so they are not in the key.  It is still a direct
+    enumeration: it never identifies isomorphic quotients, never consults
+    the paving recursion or its cache, and the graph dies with the
+    oracle."""
 
     def __init__(self, Q: Quiver, M: Multisegment, q: int):
         if not is_prime(q):
@@ -283,39 +310,50 @@ class FqOracle:
         self.Q, self.M, self.q = Q, M, q
         self.dim = M.dim_vector(Q)
         self.rep = _MatRep.from_multisegment(Q, M, q)
-        self._memo: dict[tuple, int] = {}
+        self._nodes: dict[tuple, _Node] = {}
+        # Gr(k, m)(F_q) point counts, each by one enumeration of echelon forms
+        self._grassmannian: dict[tuple[int, int], int] = {}
+        self._top = self._node(self.rep)
 
-    def _count_flags(self, rep: _MatRep, parts: tuple[DimVector, ...]) -> int:
+    def _node(self, rep: _MatRep) -> _Node:
         # every matrix entry, row by row, in arrow order
         entries = tuple(itertools.chain.from_iterable(
             itertools.chain.from_iterable(rep.mats.values())))
-        if len(parts) <= 1:
-            # the target check makes the dims equal the one part left (or
-            # zero with none left), so the only candidate step is the whole
-            # space: a flag exactly when every arrow matrix is zero
-            return int(not any(entries))
-        key = (tuple(rep.dims), entries, parts)
-        hit = self._memo.get(key)
-        if hit is not None:
-            return hit
-        step = parts[0]
-        p = rep.p
-        total = 0
-        if not any(entries):
+        dims = tuple(rep.dims)
+        key = (dims, entries)
+        node = self._nodes.get(key)
+        if node is None:
+            node = self._nodes[key] = _Node(dims, rep if any(entries) else None)
+        return node
+
+    def _gr_points(self, k: int, m: int) -> int:
+        n = self._grassmannian.get((k, m))
+        if n is None:
+            n = self._grassmannian[(k, m)] = sum(1 for _ in _rref_matrices(k, m, self.q))
+        return n
+
+    def _children(self, node: _Node, step: DimVector) -> tuple[tuple[_Node, int], ...]:
+        kids = node.children.get(step)
+        if kids is not None:
+            return kids
+        rep = node.rep
+        found: dict[_Node, int] = {}
+        if rep is None:
             # every arrow acts by zero: the kernel is the whole space, and
-            # every first step leaves the same zero quotient on dims - step,
-            # so the steps are counted one by one without forming them and
-            # that one quotient is counted once
-            steps = prod(
-                sum(1 for _ in _rref_matrices(k, m, p)) for k, m in zip(step, rep.dims)
-            )
+            # every first step leaves the same zero quotient on dims - step
+            steps = prod(self._gr_points(k, m) for k, m in zip(step, node.dims))
             if steps:
-                dims = [m - k for k, m in zip(step, rep.dims)]
-                zero = {(s, t): [[0] * dims[s] for _ in range(dims[t])] for (s, t) in rep.mats}
-                total = steps * self._count_flags(_MatRep(rep.Q, dims, zero, p), parts[1:])
+                dims = [m - k for k, m in zip(step, node.dims)]
+                zero = {
+                    (s, t): [[0] * dims[s] for _ in range(dims[t])] for (s, t) in self.rep.mats
+                }
+                found[self._node(_MatRep(self.Q, dims, zero, self.q))] = steps
         else:
-            kernels = rep.socle_kernels()
-            if all(step[v] <= len(kernels[v]) for v in rep.Q.vertices):
+            if node.kernels is None:
+                node.kernels = rep.socle_kernels()
+            kernels = node.kernels
+            p = self.q
+            if all(step[v] <= len(kernels[v]) for v in self.Q.vertices):
                 # a reduced echelon R times the reduced echelon kernel K is
                 # again reduced echelon, so each first step R.K reaches
                 # `quotient` in the form it reads pivots from
@@ -327,8 +365,25 @@ class FqOracle:
                         for rmat in _rref_matrices(step[v], len(kernel), p)
                     ])
                 for graded_choice in itertools.product(*per_vertex_choices):
-                    total += self._count_flags(rep.quotient(list(graded_choice)), parts[1:])
-        self._memo[key] = total
+                    child = self._node(rep.quotient(list(graded_choice)))
+                    found[child] = found.get(child, 0) + 1
+        kids = node.children[step] = tuple(found.items())
+        return kids
+
+    def _count_flags(self, node: _Node, parts: tuple[DimVector, ...]) -> int:
+        if len(parts) <= 1:
+            # the target check makes the dims equal the one part left (or
+            # zero with none left), so the only candidate step is the whole
+            # space: a flag exactly when every arrow matrix is zero
+            return int(node.rep is None)
+        hit = node.counts.get(parts)
+        if hit is not None:
+            return hit
+        rest = parts[1:]
+        total = sum(
+            m * self._count_flags(child, rest) for child, m in self._children(node, parts[0])
+        )
+        node.counts[parts] = total
         return total
 
 
@@ -343,9 +398,9 @@ def count_points(
     subspace of the kernel of the arrow action via reduced echelon forms,
     and the count proceeds on the matrix quotient.  Distinct first steps
     often give matrix-for-matrix identical quotients, and so do the
-    compositions of one M, so the counts are memoized in `oracle` (a fresh
-    `FqOracle(Q, M, q)` when None); an oracle built for another (Q, M, q)
-    is a ValueError.
+    compositions of one M, so the quotients and counts are kept in the
+    node graph of `oracle` (a fresh `FqOracle(Q, M, q)` when None); an
+    oracle built for another (Q, M, q) is a ValueError.
     """
     if oracle is None:
         oracle = FqOracle(Q, M, q)
@@ -355,4 +410,4 @@ def count_points(
             f"asked for {M} on {Q} over F_{q}"
         )
     _check_target(Q, oracle.dim, comp)
-    return oracle._count_flags(oracle.rep, comp.parts)
+    return oracle._count_flags(oracle._top, comp.parts)

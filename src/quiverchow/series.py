@@ -16,8 +16,9 @@ order, each at most `trunc`, with non-zero coefficients, integral ones as
 `int`.  The public constructor (and `from_map`) puts any input with
 distinct exponents into that form.  A producer whose output is canonical
 by construction builds it with `HalfLaurentSeries._canonical` instead,
-skipping that pass: `truncate` and the exponent shift in
-`extalg.compare_block` filter a canonical tuple, and `extalg._unpack` and
+skipping that pass: `truncate` and `shifted` (the exponent shift that
+`extalg.compare_block` and the transpose check in `cli.klr_block_check`
+use) filter a canonical tuple, and `extalg._unpack` and
 `extalg.gdim_alg_klr` read ascending non-zero `int` slots up to u^N.
 """
 
@@ -171,6 +172,15 @@ class HalfLaurentSeries:
             if acc:
                 b[e] = -lead * acc
         return HalfLaurentSeries(tuple(b.items()), trunc)
+
+    def shifted(self, k: int, trunc=INF) -> "HalfLaurentSeries":
+        """The series times u^k, to u^min(trunc, self.trunc + k): what
+        `mul(monomial(k))` and then `truncate(trunc)` give, read off the
+        canonical tuple in one pass."""
+        window = min(trunc, self.trunc + k)
+        return HalfLaurentSeries._canonical(
+            tuple((e + k, c) for e, c in self.coeffs if e + k <= window), window
+        )
 
     def truncate(self, trunc) -> "HalfLaurentSeries":
         """The series to u^trunc; `self` when that keeps every exponent it

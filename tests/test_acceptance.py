@@ -10,9 +10,10 @@ against Gaussian-elimination minimization.
 The four standing sweeps run the very cases that `quiverchow suite`
 runs: each test takes the case list from the suite's factory in
 `quiverchow.cli`, pins its length so a sweep cannot shrink unnoticed,
-runs every case and asserts a wall-clock budget.  Two sweeps no suite
-covers are test-only: the total-5 paving sweep, with its own loop, and
-every complete block of A3 (2,2,2), through the klr-match case builder.
+runs every case and asserts a wall-clock budget.  The paving sweep also
+runs at the suite's bound, `suite paving-oracle --max-total 5`.  One sweep
+no suite covers is test-only: every complete block of A3 (2,2,2), through
+the klr-match case builder.
 
 Run with -s to see the verdict lines; each test prints exactly one.
 """
@@ -25,8 +26,7 @@ import time
 from quiverchow import cli
 from quiverchow.klrpoly import smash_center_dims
 from quiverchow.nilrep import Segment, enumerate_nilreps, hom_dim, intertwiner_dim
-from quiverchow.paving import FqOracle, count_points, paving_cells
-from quiverchow.quiver import DimVector, enumerate_compositions, parse_quiver
+from quiverchow.quiver import DimVector, parse_quiver
 
 
 def _run_sweep(name: str, cases, budget: float) -> list[str]:
@@ -58,27 +58,12 @@ def test_paving_agrees_with_point_counts_everywhere():
 
 
 def test_paving_agrees_with_point_counts_at_total_five():
-    # the sweep above stops at total 4; this one adds every total-5 case on
-    # the quivers with at most two vertices, at two primes, with one oracle
-    # per (M, q) shared by the compositions
-    t0 = time.monotonic()
-    checked = 0
-    for spec in ("A1", "cyclic:1", "A2", "cyclic:2"):
-        Q = parse_quiver(spec)
-        for dv in cli._dim_vectors(Q.n, 5):
-            comps = enumerate_compositions(dv)
-            for M in enumerate_nilreps(Q, dv):
-                oracles = {q: FqOracle(Q, M, q) for q in (2, 3)}
-                for comp in comps:
-                    P = paving_cells(Q, M, comp)
-                    for q, oracle in oracles.items():
-                        assert P.evaluate(q) == count_points(Q, M, comp, q, oracle), (
-                            spec, str(M), str(comp), q)
-                        checked += 1
-    elapsed = time.monotonic() - t0
-    assert elapsed < 300.0, f"total-5 paving sweep took {elapsed:.1f}s"
-    print(f"PASS total-5 paving equals point counts: {checked} comparisons "
-          f"in {elapsed:.1f}s")
+    # the suite sweep at its bound: every class up to total 5 of the six
+    # suite quivers at q in {2,3,5}, one oracle per (M, q) shared by the
+    # compositions
+    cases = cli.paving_oracle_cases(5)
+    assert len(cases) == 448
+    _run_sweep("total-5 paving equals point counts", cases, 300.0)
 
 
 def test_geometric_blocks_match_klr_blocks():

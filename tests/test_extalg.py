@@ -383,7 +383,7 @@ def test_directly_built_series_are_canonical(monkeypatch):
                 gdim_geo(Q, d, ci, cj, N, strata)
         for name, check in klr_match_cases(N):
             assert check()[0], (name, N)
-    assert set(producers) == {"_unpack", "gdim_alg_klr", "truncate", "compare_block"}
+    assert set(producers) == {"_unpack", "gdim_alg_klr", "truncate", "shifted"}
     assert producers["_unpack"] >= 5 * len(comps) ** 2
 
 

@@ -317,7 +317,7 @@ def test_flat_draws_are_the_pinned_inputs():
 # `relation_suite`, in trial order, on the (Q, d) and seeds above; and over
 # the term list and flat input of every fold a trial asks for
 _TRIAL_STATE_DIGEST = "dff70ca5adf9a46feff98635baf504c241dcc46008a167c9b7b67ff390e1f6ae"
-_TRIAL_INPUT_DIGEST = "5ee545fdfe94cb73deb683ff3f0898f68ce799f0b213b6689f789d19b3b1dc4a"
+_TRIAL_INPUT_DIGEST = "4b571767fa76e3d9d35d992979987bdf45de3a292dc03353302ad69342d29342"
 
 
 def test_every_trial_ends_in_the_pinned_generator_state(monkeypatch):
@@ -399,6 +399,25 @@ def test_relation_suite_catches_a_flipped_arrow_factor(monkeypatch):
         verdict = next(v for v in report.verdicts if v.name == name)
         assert verdict.failures > 0
         assert re.match(r"trial \d+: ", verdict.witness)
+
+
+def test_relation_suite_catches_an_idempotent_that_loses_keys(monkeypatch):
+    # e(w) that also drops the keys of odd degree is still idempotent and
+    # orthogonal, so only the sum of the idempotents can tell
+    real_act = klrpoly._act
+
+    def lossy(Q, atom, flat):
+        out = real_act(Q, atom, flat)
+        if atom[0] == "e":
+            out = {(w, e): c for (w, e), c in out.items() if sum(e) % 2 == 0}
+        return out
+
+    monkeypatch.setattr(klrpoly, "_act", lossy)
+    for spec, d in (("A2", (2, 1)), ("cyclic:2", (1, 1))):
+        report = relation_suite(parse_quiver(spec), DimVector(d), trials=12, seed=0)
+        verdict = next(v for v in report.verdicts if v.name == "idempotents")
+        assert verdict.failures > 0, spec
+        assert re.match(r"trial \d+: sum of idempotents on ", verdict.witness), verdict.witness
 
 
 def test_faithfulness_rank_of_low_degree_operators():

@@ -18,6 +18,7 @@ from math import factorial
 
 import pytest
 
+from quiverchow.cli import SUITE_QUIVERS, paving_oracle_cases
 from quiverchow.linalg import rref_fractions, solve_exact
 from quiverchow.nilrep import enumerate_nilreps, parse_multisegment, semisimple_class
 from quiverchow.paving import (
@@ -293,20 +294,63 @@ def test_count_points_rejects_nonprime_field_size():
 
 def test_shared_oracle_counts_equal_fresh_counts():
     # one oracle per (M, q) serves every composition, in the reverse order,
-    # so later counts read quotients memoized by earlier compositions
+    # so later counts read nodes, children and counts left by earlier
+    # compositions; every count also equals the paving at q, on every class
+    # up to total 4 of the suite quivers
     compared = 0
-    for spec, d in (("A3", (1, 1, 1)), ("cyclic:2", (2, 1)), ("cyclic:1", (3,))):
+    for spec in SUITE_QUIVERS:
         Q = parse_quiver(spec)
-        dv = DimVector(d)
-        comps = list(enumerate_compositions(dv))
-        for M in enumerate_nilreps(Q, dv):
-            for q in (2, 3, 5):
-                oracle = FqOracle(Q, M, q)
-                shared = [count_points(Q, M, c, q, oracle) for c in reversed(comps)]
-                fresh = [count_points(Q, M, c, q) for c in reversed(comps)]
-                assert shared == fresh, (spec, str(M), q)
-                compared += len(comps)
-    assert compared > 100
+        for d in itertools.product(range(5), repeat=Q.n):
+            dv = DimVector(d)
+            if not 0 < dv.total <= 4:
+                continue
+            comps = list(enumerate_compositions(dv))[::-1]
+            for M in enumerate_nilreps(Q, dv):
+                for q in (2, 3, 5):
+                    oracle = FqOracle(Q, M, q)
+                    shared = [count_points(Q, M, c, q, oracle) for c in comps]
+                    fresh = [count_points(Q, M, c, q) for c in comps]
+                    paved = [paving_cells(Q, M, c).evaluate(q) for c in comps]
+                    assert shared == fresh == paved, (spec, str(M), q)
+                    compared += len(comps)
+    assert compared > 10_000
+
+
+def _node_key(rep):
+    return rep.p, tuple(rep.dims), tuple(
+        x for mat in rep.mats.values() for row in mat for x in row)
+
+
+def test_socle_kernels_once_per_distinct_node(monkeypatch):
+    # each oracle forms the socle kernels of a non-zero node once and the
+    # quotient by each of its echelon first steps once; a suite case holds
+    # one oracle per q, so (q, dims, entries) tells its nodes apart
+    kernels, quotients = [], []
+    real_kernels, real_quotient = _MatRep.socle_kernels, _MatRep.quotient
+
+    def counted_kernels(rep):
+        kernels.append(_node_key(rep))
+        return real_kernels(rep)
+
+    def counted_quotient(rep, sub_bases):
+        quotients.append(_node_key(rep) + (repr(sub_bases),))
+        return real_quotient(rep, sub_bases)
+
+    monkeypatch.setattr(_MatRep, "socle_kernels", counted_kernels)
+    monkeypatch.setattr(_MatRep, "quotient", counted_quotient)
+    total_kernels = total_quotients = 0
+    for name, check in paving_oracle_cases(3):
+        kernels.clear()
+        quotients.clear()
+        assert check()[0], name
+        assert len(set(kernels)) == len(kernels), name
+        assert all(any(key[2]) for key in kernels), name
+        # every first step of a node is enumerated once, after its kernels
+        assert len(set(quotients)) == len(quotients), name
+        assert {key[:3] for key in quotients} <= set(kernels), name
+        total_kernels += len(kernels)
+        total_quotients += len(quotients)
+    assert (total_kernels, total_quotients) == (205, 405)
 
 
 def test_oracle_for_another_rep_or_field_is_refused():

@@ -10,6 +10,7 @@ partitions with at most $m$ part sizes.
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -77,6 +78,22 @@ def test_pow_matches_repeated_mul():
     for k in range(4):
         assert first_discrepancy(base.pow(k), acc) is None
         acc = acc.mul(base)
+
+
+def test_shifted_equals_mul_by_a_monomial_then_truncate():
+    # the same series, tuple and window as the product, on exact, truncated,
+    # zero and Fraction-valued inputs, for shifts of either sign
+    rng = random.Random(5)
+    inputs = [HalfLaurentSeries.zero(), HalfLaurentSeries.zero().truncate(3),
+              HalfLaurentSeries.from_map({-1: Fraction(1, 2), 2: 3}, trunc=6), bgl(2, 9)]
+    inputs += [HalfLaurentSeries.from_map({e: rng.randint(-2, 2) for e in range(-3, 8)},
+                                          trunc=rng.choice([INF, 4, 7])) for _ in range(6)]
+    for s in inputs:
+        for k in (-4, -1, 0, 2, 6):
+            for trunc in (INF, -2, 3, 10):
+                want = s.mul(HalfLaurentSeries.monomial(k)).truncate(trunc)
+                got = s.shifted(k, trunc)
+                assert (got.coeffs, got.trunc) == (want.coeffs, want.trunc), (s, k, trunc)
 
 
 def test_truncate_discards_high_terms():
