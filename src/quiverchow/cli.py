@@ -45,7 +45,7 @@ from .nilrep import (
     orbit_dim,
     parse_multisegment,
 )
-from .paving import FqOracle, count_points, is_prime, paving_cells
+from .paving import FqGraph, FqOracle, count_points, is_prime, paving_cells
 from .quiver import (
     Composition,
     DimVector,
@@ -105,7 +105,7 @@ MAX_PAVING_CELLS = 10_000
 MAX_TRIALS = 10_000
 
 # suite paving-oracle: a --max-total above this is refused before any case
-# is built; 5 takes 4-6 s as a process on a 2-core machine (Python 3.11.7),
+# is built; 5 takes 1.6-1.7 s as a process on a 2-core machine (Python 3.11.7),
 # and each unit more multiplies the multisegments, compositions and flags
 # to count.
 MAX_ORACLE_TOTAL = 5
@@ -681,7 +681,15 @@ def paving_oracle_cases(max_total: int = 4):
     point-count oracle at q in {2,3,5} for every composition, with one
     `FqOracle` per q shared by the compositions; plus the named subregular
     case with its frozen oracle values.  A max_total above
-    MAX_ORACLE_TOTAL is refused."""
+    MAX_ORACLE_TOTAL is refused.
+
+    Every oracle of a quiver at one q, the subregular case's included,
+    counts through one `FqGraph` of that (quiver, q), made empty here and
+    filled only while the cases run, so a class reuses the literal
+    quotients that earlier classes of its quiver left.  The graphs live as
+    long as the case list; each count is still a direct enumeration on
+    literal matrices.  Cases on several threads may both build a node,
+    and either copy counts correctly."""
     if max_total > MAX_ORACLE_TOTAL:
         raise ValueError(
             f"suite paving-oracle --max-total {max_total} is above the bound of "
@@ -691,6 +699,10 @@ def paving_oracle_cases(max_total: int = 4):
     # one composition list per d, built by the first case that needs it;
     # two threads may both build it, and either equal list serves
     comps_of: dict = {}
+    graphs = {
+        (qspec, q): FqGraph(parse_quiver(qspec), q)
+        for qspec in SUITE_QUIVERS for q in (2, 3, 5)
+    }
 
     def subregular():
         Q = parse_quiver("cyclic:1")
@@ -699,8 +711,10 @@ def paving_oracle_cases(max_total: int = 4):
         P = paving_cells(Q, M, comp)
         want = {(0, 1), (1, 2)}
         got = set(P.counts)
-        c2 = count_points(Q, M, comp, 2)
-        c3 = count_points(Q, M, comp, 3)
+        c2, c3 = (
+            count_points(Q, M, comp, q, FqOracle(Q, M, q, graphs[("cyclic:1", q)]))
+            for q in (2, 3)
+        )
         if got != want:
             return False, f"poincare {P}, expected 1 + 2*q"
         if (c2, c3) != (5, 7):
@@ -714,8 +728,10 @@ def paving_oracle_cases(max_total: int = 4):
         for total in range(0, max_total + 1):
             for d in _dim_vectors(Q.n, total):
                 for M in enumerate_nilreps(Q, d):
-                    def check(Q=Q, d=d, M=M):
-                        oracles = {q: FqOracle(Q, M, q) for q in (2, 3, 5)}
+                    def check(Q=Q, qspec=qspec, d=d, M=M):
+                        oracles = {
+                            q: FqOracle(Q, M, q, graphs[(qspec, q)]) for q in (2, 3, 5)
+                        }
                         comps = comps_of.get(d)
                         if comps is None:
                             comps = comps_of[d] = enumerate_compositions(d)

@@ -184,11 +184,20 @@ def quotient_by_socles(
     modular exactly for cyclic quivers); length-0 segments are dropped.
     """
     basis = socle_basis(Q, M)
+    for v in Q.vertices:
+        if not all(0 <= k < len(basis[v]) for k in chosen[v]):
+            raise ValueError(f"invalid socle reference at vertex {v}")
+    return _quotient_of_basis(Q, basis, chosen)
+
+
+def _quotient_of_basis(
+    Q: Quiver, basis: list[list[Segment]], chosen: list[list[int]]
+) -> Multisegment:
+    """`quotient_by_socles` on a socle basis already formed, with indices
+    already known to be in range."""
     new_segs: list[Segment] = []
     for v in Q.vertices:
         picked = set(chosen[v])
-        if not all(0 <= k < len(basis[v]) for k in picked):
-            raise ValueError(f"invalid socle reference at vertex {v}")
         for k, s in enumerate(basis[v]):
             if k in picked:
                 if s.length > 1:

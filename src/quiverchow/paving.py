@@ -19,19 +19,25 @@ same routine that eliminates over Q elsewhere), and come out in reduced row
 echelon form, so every enumerated first step is in that form too: a
 quotient reads the pivots off the step's rows and reduces each image column
 by them, with no elimination and no linear solve.
-An `FqOracle(Q, M, q)` holds the materialized M and a graph of nodes, one
-per literal quotient (the same dims and the same matrices), shared by every
-composition counted through it.  A node forms its socle kernels at most
-once, and for each first step its children once: the distinct quotients
-its enumerated first steps leave, each with the number of steps that leave
+An `FqGraph(Q, q)` holds a graph of nodes, one per literal quotient (the
+same dims and the same matrices) of representations of Q over F_q, and one
+list of the Gr(k, m)(F_q) echelon forms per (k, m).  An `FqOracle(Q, M, q,
+graph)` holds the materialized M and its node in that graph, so every
+composition of M, and every class counted through the same graph, reads
+the nodes the others left.  A node forms its socle kernels at most once,
+and for each first step its children once: the distinct quotients its
+enumerated first steps leave, each with the number of steps that leave
 it.  A count is the sum over the children of multiplicity times the
 child's count with the remaining steps, kept once per (node, steps).  When
 every arrow acts by zero, every first step leaves the same zero quotient,
 so that node has one child, whose multiplicity is the number of echelon
-forms, enumerated once per Grassmannian without forming the steps.  The
-graph lives as long as the oracle, and `count_points` without one builds a
-fresh oracle for the call.  That is still a direct enumeration: it uses no
-formula for the count and no paving recursion.
+forms, the length of the graph's lists, without forming the steps.  An
+oracle without a graph builds a fresh one, and `count_points` without an
+oracle builds a fresh oracle for the call; `cli.paving_oracle_cases` keeps
+one graph per (quiver, q) for a whole sweep.  However long the graph
+lives, the count is still a direct enumeration on literal matrices: it
+uses no formula for the count, no paving recursion, and never identifies
+isomorphic quotients.
 """
 
 from __future__ import annotations
@@ -42,7 +48,7 @@ from math import prod
 from operator import mul
 
 from .linalg import kernel_basis
-from .nilrep import Multisegment, quotient_by_socles, socle_basis
+from .nilrep import Multisegment, _quotient_of_basis, socle_basis
 from .quiver import Composition, DimVector, Quiver
 
 
@@ -130,7 +136,7 @@ def _cells(
     counts: dict[int, int] = {}
     for choice in _subset_choices([len(b) for b in basis], parts[0]):
         d0 = _schubert_dim(choice)
-        quotient = quotient_by_socles(Q, M, [list(c) for c in choice])
+        quotient = _quotient_of_basis(Q, basis, choice)
         for rest, m in _cells(Q, quotient, parts[1:]):
             counts[d0 + rest] = counts.get(d0 + rest, 0) + m
     out = tuple(sorted(counts.items()))
@@ -166,27 +172,23 @@ def is_prime(q: int) -> bool:
 
 
 def _rref_matrices(k: int, m: int, p: int):
-    """All k x m matrices in reduced row echelon form with rank k over F_p;
-    enumerates the Schubert decomposition of the Grassmannian Gr(k, m)."""
-    if k == 0:
-        yield []
-        return
-    if k > m:
-        return
+    """All k x m matrices in reduced row echelon form with rank k over F_p,
+    each a tuple of row tuples; enumerates the Schubert decomposition of
+    the Grassmannian Gr(k, m).  The matrices of one pivot set share their
+    row tuples, so a kept list of them holds each row once."""
     for pivots in itertools.combinations(range(m), k):
-        free_pos = [
-            (i, j)
-            for i in range(k)
-            for j in range(pivots[i] + 1, m)
-            if j not in pivots
-        ]
-        for values in itertools.product(range(p), repeat=len(free_pos)):
-            mat = [[0] * m for _ in range(k)]
-            for i, pc in enumerate(pivots):
-                mat[i][pc] = 1
-            for (i, j), val in zip(free_pos, values):
-                mat[i][j] = val
-            yield mat
+        per_row = []
+        for pc in pivots:
+            free = [j for j in range(pc + 1, m) if j not in pivots]
+            rows = []
+            for values in itertools.product(range(p), repeat=len(free)):
+                row = [0] * m
+                row[pc] = 1
+                for j, val in zip(free, values):
+                    row[j] = val
+                rows.append(tuple(row))
+            per_row.append(rows)
+        yield from itertools.product(*per_row)
 
 
 class _MatRep:
@@ -272,11 +274,11 @@ class _MatRep:
 
 
 class _Node:
-    """One literal quotient in an oracle's graph, keyed there on its dims
-    and every matrix entry in arrow order.  `rep` is None when every arrow
-    acts by zero.  The socle kernels are formed at most once; `children`
-    maps a first step to its (child node, multiplicity) pairs, and
-    `counts` maps the remaining parts to the flag count."""
+    """One literal quotient in a graph, keyed there on its dims and every
+    matrix entry in arrow order.  `rep` is None when every arrow acts by
+    zero.  The socle kernels are formed at most once; `children` maps a
+    first step to its (child node, multiplicity) pairs, and `counts` maps
+    the remaining parts to the flag count."""
 
     __slots__ = ("dims", "rep", "kernels", "children", "counts")
 
@@ -288,32 +290,33 @@ class _Node:
         self.counts: dict[tuple[DimVector, ...], int] = {}
 
 
-class FqOracle:
-    """Point counts of flags in one representation M over one field F_q.
+class FqGraph:
+    """The literal quotients of representations of one quiver Q over one
+    field F_q, shared by every `FqOracle` built on it.
 
-    Call-scoped, like `extalg.Strata`: it holds M materialized as shift
-    matrices over F_q and a graph of nodes, one per literal quotient
-    (dimensions and every matrix entry in arrow order), shared by every
-    composition counted through it.  A node's children for a first step
-    are the distinct quotients that the enumerated echelon first steps
-    leave, each with the number of steps that leave it, so the count of
-    (node, parts) is the sum over children of multiplicity times the count
-    of (child, parts[1:]), kept once per node and parts.  Q and q are fixed
-    per oracle, so they are not in the key.  It is still a direct
-    enumeration: it never identifies isomorphic quotients, never consults
-    the paving recursion or its cache, and the graph dies with the
-    oracle."""
+    Call-scoped, like `extalg.Strata`: it holds one node per literal
+    quotient (dimensions and every matrix entry in arrow order) and one
+    list of the Gr(k, m)(F_q) echelon forms per (k, m).  A node's children
+    for a first step are the distinct quotients that the enumerated
+    echelon first steps leave, each with the number of steps that leave
+    it, so the count of (node, parts) is the sum over children of
+    multiplicity times the count of (child, parts[1:]), kept once per node
+    and parts.  Q and q are fixed per graph, so they are not in the key;
+    two representations whose quotients agree matrix for matrix reach the
+    same node, whichever M they came from.  The graph lives as long as its
+    holder keeps it (`cli.paving_oracle_cases` keeps one per (quiver, q)
+    for a sweep), and the count is still a direct enumeration: it never
+    identifies isomorphic quotients and never consults the paving
+    recursion or its cache.  Two threads may both build a node, a child
+    list or an echelon list; either copy counts correctly, so a graph may
+    serve several threads."""
 
-    def __init__(self, Q: Quiver, M: Multisegment, q: int):
+    def __init__(self, Q: Quiver, q: int):
         if not is_prime(q):
             raise ValueError(f"{q} is not prime")
-        self.Q, self.M, self.q = Q, M, q
-        self.dim = M.dim_vector(Q)
-        self.rep = _MatRep.from_multisegment(Q, M, q)
+        self.Q, self.q = Q, q
         self._nodes: dict[tuple, _Node] = {}
-        # Gr(k, m)(F_q) point counts, each by one enumeration of echelon forms
-        self._grassmannian: dict[tuple[int, int], int] = {}
-        self._top = self._node(self.rep)
+        self._echelon: dict[tuple[int, int], list[tuple[tuple[int, ...], ...]]] = {}
 
     def _node(self, rep: _MatRep) -> _Node:
         # every matrix entry, row by row, in arrow order
@@ -326,11 +329,14 @@ class FqOracle:
             node = self._nodes[key] = _Node(dims, rep if any(entries) else None)
         return node
 
+    def _echelon_forms(self, k: int, m: int) -> list[tuple[tuple[int, ...], ...]]:
+        forms = self._echelon.get((k, m))
+        if forms is None:
+            forms = self._echelon[(k, m)] = list(_rref_matrices(k, m, self.q))
+        return forms
+
     def _gr_points(self, k: int, m: int) -> int:
-        n = self._grassmannian.get((k, m))
-        if n is None:
-            n = self._grassmannian[(k, m)] = sum(1 for _ in _rref_matrices(k, m, self.q))
-        return n
+        return len(self._echelon_forms(k, m))
 
     def _children(self, node: _Node, step: DimVector) -> tuple[tuple[_Node, int], ...]:
         kids = node.children.get(step)
@@ -345,7 +351,7 @@ class FqOracle:
             if steps:
                 dims = [m - k for k, m in zip(step, node.dims)]
                 zero = {
-                    (s, t): [[0] * dims[s] for _ in range(dims[t])] for (s, t) in self.rep.mats
+                    (s, t): [[0] * dims[s] for _ in range(dims[t])] for (s, t) in self.Q.arrows()
                 }
                 found[self._node(_MatRep(self.Q, dims, zero, self.q))] = steps
         else:
@@ -362,7 +368,7 @@ class FqOracle:
                     columns = list(zip(*kernel))
                     per_vertex_choices.append([
                         [[sum(map(mul, row, col)) % p for col in columns] for row in rmat]
-                        for rmat in _rref_matrices(step[v], len(kernel), p)
+                        for rmat in self._echelon_forms(step[v], len(kernel))
                     ])
                 for graded_choice in itertools.product(*per_vertex_choices):
                     child = self._node(rep.quotient(list(graded_choice)))
@@ -387,6 +393,31 @@ class FqOracle:
         return total
 
 
+class FqOracle:
+    """Point counts of flags in one representation M over one field F_q.
+
+    It holds M materialized as shift matrices over F_q and the node of
+    those matrices in `graph`, an `FqGraph(Q, q)`: a fresh one when None,
+    whose nodes then live as long as the oracle, or one shared with other
+    oracles of the same (Q, q), whose nodes outlive this one.  Every
+    composition counted through the oracle walks the graph from that node,
+    so compositions of M, and the classes sharing the graph, reuse each
+    other's quotients, children and counts.  A graph of another (Q, q) is
+    a ValueError."""
+
+    def __init__(self, Q: Quiver, M: Multisegment, q: int, graph: FqGraph | None = None):
+        if graph is None:
+            graph = FqGraph(Q, q)
+        elif (graph.Q, graph.q) != (Q, q):
+            raise ValueError(
+                f"graph built for {graph.Q} over F_{graph.q}, asked for {Q} over F_{q}"
+            )
+        self.Q, self.M, self.q = Q, M, q
+        self.graph = graph
+        self.dim = M.dim_vector(Q)
+        self._top = graph._node(_MatRep.from_multisegment(Q, M, q))
+
+
 def count_points(
     Q: Quiver, M: Multisegment, comp: Composition, q: int,
     oracle: FqOracle | None = None,
@@ -398,9 +429,10 @@ def count_points(
     subspace of the kernel of the arrow action via reduced echelon forms,
     and the count proceeds on the matrix quotient.  Distinct first steps
     often give matrix-for-matrix identical quotients, and so do the
-    compositions of one M, so the quotients and counts are kept in the
-    node graph of `oracle` (a fresh `FqOracle(Q, M, q)` when None); an
-    oracle built for another (Q, M, q) is a ValueError.
+    compositions of one M and other classes of Q, so the quotients and
+    counts are kept in the `FqGraph` of `oracle` (a fresh `FqOracle(Q, M,
+    q)`, on a fresh graph, when None); an oracle built for another
+    (Q, M, q) is a ValueError.
     """
     if oracle is None:
         oracle = FqOracle(Q, M, q)
@@ -410,4 +442,4 @@ def count_points(
             f"asked for {M} on {Q} over F_{q}"
         )
     _check_target(Q, oracle.dim, comp)
-    return oracle._count_flags(oracle._top, comp.parts)
+    return oracle.graph._count_flags(oracle._top, comp.parts)

@@ -119,6 +119,22 @@ def test_gdim_command_set_bytes_are_pinned(capsys):
         assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest, argv
 
 
+def test_paving_oracle_bytes_are_pinned(capsys):
+    # the oracle graphs are shared by the cases of a sweep; neither that nor
+    # a second thread racing to build a node changes a byte
+    outs = []
+    for threads in ("1", "2"):
+        code, out = run_cli(capsys, "suite", "paving-oracle", "--max-total", "3",
+                            "--threads", threads)
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1]
+    assert hashlib.sha256(outs[0].encode()).hexdigest()[:16] == "4ce5e29172fe1d5e"
+    code, out = run_cli(capsys, "suite", "paving-oracle", "--max-total", "4")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == "6a3d5f763c36093e"
+
+
 def test_klr_selftest_passes(capsys):
     code, out = run_cli(capsys, "klr-selftest", "--quiver", "A2",
                         "--dim", "1,1", "--trials", "5", "--seed", "3")

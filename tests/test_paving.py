@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import sys
 from math import factorial
 
 import pytest
@@ -21,8 +22,10 @@ import pytest
 from quiverchow.cli import SUITE_QUIVERS, paving_oracle_cases
 from quiverchow.linalg import rref_fractions, solve_exact
 from quiverchow.nilrep import enumerate_nilreps, parse_multisegment, semisimple_class
+from quiverchow import paving
 from quiverchow.paving import (
     CellSet,
+    FqGraph,
     FqOracle,
     _MatRep,
     _rref_matrices,
@@ -317,14 +320,15 @@ def test_shared_oracle_counts_equal_fresh_counts():
 
 
 def _node_key(rep):
-    return rep.p, tuple(rep.dims), tuple(
+    return rep.Q, rep.p, tuple(rep.dims), tuple(
         x for mat in rep.mats.values() for row in mat for x in row)
 
 
 def test_socle_kernels_once_per_distinct_node(monkeypatch):
-    # each oracle forms the socle kernels of a non-zero node once and the
-    # quotient by each of its echelon first steps once; a suite case holds
-    # one oracle per q, so (q, dims, entries) tells its nodes apart
+    # a sweep holds one graph per (quiver, q), so (quiver, q, dims, entries)
+    # tells its nodes apart: over the whole sweep, not only within a case,
+    # no node's socle kernels and no quotient by one of its echelon first
+    # steps is formed twice
     kernels, quotients = [], []
     real_kernels, real_quotient = _MatRep.socle_kernels, _MatRep.quotient
 
@@ -338,19 +342,14 @@ def test_socle_kernels_once_per_distinct_node(monkeypatch):
 
     monkeypatch.setattr(_MatRep, "socle_kernels", counted_kernels)
     monkeypatch.setattr(_MatRep, "quotient", counted_quotient)
-    total_kernels = total_quotients = 0
     for name, check in paving_oracle_cases(3):
-        kernels.clear()
-        quotients.clear()
         assert check()[0], name
-        assert len(set(kernels)) == len(kernels), name
-        assert all(any(key[2]) for key in kernels), name
-        # every first step of a node is enumerated once, after its kernels
-        assert len(set(quotients)) == len(quotients), name
-        assert {key[:3] for key in quotients} <= set(kernels), name
-        total_kernels += len(kernels)
-        total_quotients += len(quotients)
-    assert (total_kernels, total_quotients) == (205, 405)
+    assert len(set(kernels)) == len(kernels)
+    assert all(any(key[3]) for key in kernels)
+    # every first step of a node is enumerated once, after its kernels
+    assert len(set(quotients)) == len(quotients)
+    assert {key[:4] for key in quotients} <= set(kernels)
+    assert (len(kernels), len(quotients)) == (114, 309)
 
 
 def test_oracle_for_another_rep_or_field_is_refused():
@@ -366,6 +365,61 @@ def test_oracle_for_another_rep_or_field_is_refused():
         count_points(parse_quiver("cyclic:2"), M, comp, 3, oracle)
     with pytest.raises(ValueError):
         FqOracle(LOOP, M, 4)
+
+
+def test_graph_of_another_quiver_or_field_is_refused():
+    M = parse_multisegment("(0,2)+(0,1)")
+    comp = parse_composition("1;1;1", 1)
+    graph = FqGraph(LOOP, 3)
+    assert count_points(LOOP, M, comp, 3, FqOracle(LOOP, M, 3, graph)) == 7
+    with pytest.raises(ValueError):
+        FqOracle(LOOP, M, 2, graph)
+    with pytest.raises(ValueError):
+        FqOracle(parse_quiver("cyclic:2"), parse_multisegment("(0,1)"), 3, graph)
+    with pytest.raises(ValueError):
+        FqGraph(LOOP, 4)
+
+
+def test_shared_graph_counts_equal_fresh_counts():
+    # one graph per (Q, q) serves every class, so later classes read nodes,
+    # children and counts that earlier classes left
+    compared = 0
+    for spec, d in (("A3", (1, 2, 1)), ("cyclic:3", (2, 1, 1))):
+        Q = parse_quiver(spec)
+        dv = DimVector(d)
+        comps = list(enumerate_compositions(dv))
+        classes = list(enumerate_nilreps(Q, dv))
+        for q in (2, 3, 5):
+            graph = FqGraph(Q, q)
+            for M in classes:
+                oracle = FqOracle(Q, M, q, graph)
+                shared = [count_points(Q, M, c, q, oracle) for c in comps]
+                fresh = [count_points(Q, M, c, q) for c in comps]
+                assert shared == fresh, (spec, str(M), q)
+                compared += len(comps)
+            assert len(graph._nodes) > len(classes)
+    assert compared > 1000
+
+
+def test_one_echelon_list_per_grassmannian_per_graph(monkeypatch):
+    # a sweep holds one graph per (quiver, q), and each graph enumerates the
+    # echelon forms of each Gr(k, m) once, for its steps and its point counts
+    calls = []
+    real = paving._rref_matrices
+
+    def counted(k, m, p):
+        graph = sys._getframe(1).f_locals["self"]
+        assert isinstance(graph, FqGraph) and graph.q == p
+        calls.append((graph, k, m))
+        return real(k, m, p)
+
+    monkeypatch.setattr(paving, "_rref_matrices", counted)
+    for name, check in paving_oracle_cases(3):
+        assert check()[0], name
+    assert len({(id(g), k, m) for g, k, m in calls}) == len(calls)
+    graphs = {id(g): (g.Q, g.q) for g, _, _ in calls}
+    assert len(set(graphs.values())) == len(graphs) == len(SUITE_QUIVERS) * 3
+    assert len(calls) == 120
 
 
 def test_one_part_counts_one_exactly_on_semisimple_classes():
