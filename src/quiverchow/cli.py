@@ -36,7 +36,7 @@ from .homotopy import (
     validate,
     weight_truncate,
 )
-from .klrpoly import check_suite_size, inversions, relation_suite
+from .klrpoly import TrialStreams, check_suite_size, inversions, relation_suite
 from .nilrep import (
     Multisegment,
     Segment,
@@ -45,7 +45,7 @@ from .nilrep import (
     orbit_dim,
     parse_multisegment,
 )
-from .paving import FqGraph, FqOracle, count_points, is_prime, paving_cells
+from .paving import EchelonForms, FqGraph, FqOracle, count_points, is_prime, paving_cells
 from .quiver import (
     Composition,
     DimVector,
@@ -686,10 +686,11 @@ def paving_oracle_cases(max_total: int = 4):
     Every oracle of a quiver at one q, the subregular case's included,
     counts through one `FqGraph` of that (quiver, q), made empty here and
     filled only while the cases run, so a class reuses the literal
-    quotients that earlier classes of its quiver left.  The graphs live as
-    long as the case list; each count is still a direct enumeration on
-    literal matrices.  Cases on several threads may both build a node,
-    and either copy counts correctly."""
+    quotients that earlier classes of its quiver left; the graphs of one q
+    read their Grassmannian echelon lists from one `EchelonForms(q)`.  The
+    graphs live as long as the case list; each count is still a direct
+    enumeration on literal matrices.  Cases on several threads may both
+    build a node or a list, and either copy counts correctly."""
     if max_total > MAX_ORACLE_TOTAL:
         raise ValueError(
             f"suite paving-oracle --max-total {max_total} is above the bound of "
@@ -699,8 +700,9 @@ def paving_oracle_cases(max_total: int = 4):
     # one composition list per d, built by the first case that needs it;
     # two threads may both build it, and either equal list serves
     comps_of: dict = {}
+    echelons = {q: EchelonForms(q) for q in (2, 3, 5)}
     graphs = {
-        (qspec, q): FqGraph(parse_quiver(qspec), q)
+        (qspec, q): FqGraph(parse_quiver(qspec), q, echelons[q])
         for qspec in SUITE_QUIVERS for q in (2, 3, 5)
     }
 
@@ -822,15 +824,23 @@ def relations_cases(max_total: int = 4, trials: int = 100, seed: int = 0):
     """One case per (quiver, d) with 1 <= total(d) <= max_total: every
     relation family, degree homogeneity among them, ran `trials` seeded
     trials without a failure.  Every (quiver, d) is checked against the
-    relation-suite bounds before any case runs."""
+    relation-suite bounds before any case runs.
+
+    Every case reads its trials' words from one `TrialStreams` store,
+    made empty here and filled only while the cases run: the trial keys
+    f"{seed}:{name}:{t}" repeat across the cases, so a key's generator is
+    seeded by the first case that draws from it and later cases read the
+    words it stored, the same words a fresh generator would yield.  Cases
+    on several threads may share the store."""
     cases = []
+    streams = TrialStreams()
     for qspec in SUITE_QUIVERS:
         Q = parse_quiver(qspec)
         for total in range(1, max_total + 1):
             for d in _dim_vectors(Q.n, total):
                 check_suite_size(Q, d)
                 def check(Q=Q, d=d):
-                    report = relation_suite(Q, d, trials=trials, seed=seed)
+                    report = relation_suite(Q, d, trials=trials, seed=seed, streams=streams)
                     short = next((v for v in report.verdicts if v.trials != trials), None)
                     if short is not None:
                         return False, f"{short.name}: ran {short.trials} of {trials} trials"

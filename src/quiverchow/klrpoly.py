@@ -15,10 +15,11 @@ input's map; `KLROperator.apply` calls it and wraps the result as a
 presentation on seeded random inputs, drawn straight into flat maps: each
 relation side is a term list folded by the same kernel, so no operator is
 multiplied out.  It is the normative gate for the sign conventions.  Trial
-t of family `name` draws from the state of `Random(f"{seed}:{name}:{t}")`
-(one generator per call, reseeded per trial); the draws read raw generator
-bits through `_below`, taking exactly the bits and values of the `random`
-methods they replace, and tests pin them by digests.
+t of family `name` reads the 32-bit words that `Random(f"{seed}:{name}:{t}")`
+yields, in order, from a `TrialStreams` store that a sweep shares across
+its cases, so a trial key seen before seeds no generator; the draws take
+the top bits of each word through `_below`, exactly the bits and values
+of the `random` methods they replace, and tests pin them by digests.
 
 The second algebra is the smash product of a polynomial ring with the
 symmetric group, S # Q[S_n], with multiplication (f.w)(g.v) = f w(g) . wv;
@@ -34,6 +35,9 @@ from __future__ import annotations
 
 import itertools
 import random
+import sys
+import threading
+from array import array
 from dataclasses import dataclass
 from math import comb
 
@@ -540,6 +544,8 @@ _COEFFS = (-3, -2, -1, 1, 2, 3)
 # strands than MAX_SUITE_STRANDS (each trial works on tuples of n exponents
 # and the degree check walks n^2 letter pairs) or with more words of
 # content d than MAX_SUITE_WORDS (every word is listed, to draw from).
+# Both keep every bound a trial draws below (at most 40,320) within the 32
+# bits of one generator word.
 MAX_SUITE_STRANDS = 64
 MAX_SUITE_WORDS = 40_320
 
@@ -561,22 +567,88 @@ def check_suite_size(Q: Quiver, d: DimVector) -> None:
         )
 
 
-def _below(bits, m: int) -> int:
-    """A uniform int in [0, m) from a generator's bound `getrandbits`,
-    drawing exactly what `Random._randbelow` draws: m.bit_length() bits,
-    again while the value is at least m.  So randrange(a, a + m) is
-    a + _below(bits, m), randint(a, b) is a + _below(bits, b - a + 1) and
-    choice(s) is s[_below(bits, len(s))], each leaving the same state."""
-    if m <= 0:
-        raise ValueError(f"no int in [0, {m})")
-    k = m.bit_length()
-    r = bits(k)
+# the words a key's first draw stores.  A trial reads about 6 words per
+# strand: at most 62 on 6 strands, and at most 122 on the 12 strands of
+# A3 (4,4,4) at seed 0, where a first prefix of 64 words grew in 58 of 100
+# trials.  Reading past the prefix costs a second seeding; filling 128
+# words instead of 64 costs a small fraction of one.
+_FIRST_WORDS = 128
+
+
+class TrialStreams:
+    """The word streams of relation-suite trials, one per trial key.
+
+    For a key it holds the 32-bit words that `Random(key).getrandbits(32)`
+    yields, in order, as a prefix of that stream in one `array('I')`.  A
+    key's first draw stores its first `_FIRST_WORDS` words; a trial that
+    reads past the prefix it holds replaces it by one twice as long, built
+    from a fresh `Random(key)`.  Call-scoped, like `paving.FqGraph`: it
+    lives as long as its holder keeps it (`cli.relations_cases` keeps one
+    for a sweep, and `relation_suite` without one makes a fresh store per
+    call), and a trial key repeated by a later case reads the words its
+    first case stored instead of seeding a generator.  Entries are never
+    changed in place and are only ever replaced by a longer prefix of the
+    same stream, so a reader holding an older entry still reads the right
+    words, and two threads may share the store."""
+
+    def __init__(self):
+        self._words: dict[str, array] = {}
+        self._lock = threading.Lock()
+
+    def draw(self, key: str):
+        """The draw function of trial `key`: each call returns the next
+        32-bit word of key's stream, the first call its first word."""
+        words = self._words.get(key)
+        if words is None:
+            words = self._words.setdefault(key, _stream_prefix(key, _FIRST_WORDS))
+        return itertools.chain(words, self._past(key, len(words))).__next__
+
+    def _past(self, key: str, start: int):
+        """The words of key's stream from index `start` on."""
+        while True:
+            words = self._words[key]
+            if len(words) <= start:
+                words = _stream_prefix(key, 2 * start)
+                with self._lock:
+                    if len(words) > len(self._words[key]):
+                        self._words[key] = words
+            yield from itertools.islice(words, start, None)
+            start = len(words)
+
+
+def _stream_prefix(key: str, length: int) -> array:
+    """The first `length` words of `Random(key).getrandbits(32)`, in order:
+    getrandbits(32 * length) holds them with the first in its lowest 32
+    bits."""
+    bits = random.Random(key).getrandbits(32 * length)
+    words = array("I", bits.to_bytes(4 * length, "little"))
+    if sys.byteorder == "big":
+        words.byteswap()
+    return words
+
+
+def _below(draw, m: int) -> int:
+    """A uniform int in [0, m) from a draw function returning 32-bit
+    words, drawing exactly what `Random._randbelow` draws: each candidate
+    is the top m.bit_length() bits of one word, which are the bits
+    `getrandbits(m.bit_length())` returns, drawn again while it is at
+    least m.  So randrange(a, a + m) is a + _below(draw, m), randint(a, b)
+    is a + _below(draw, b - a + 1) and choice(s) is s[_below(draw,
+    len(s))], each reading as many words as they read.  One word cannot
+    serve an m of more than 32 bits, so that is a ValueError, as is m <= 0."""
+    if not 0 < m < 1 << 32:
+        raise ValueError(
+            f"no int in [0, {m})" if m <= 0
+            else f"a bound of {m.bit_length()} bits is wider than one 32-bit word"
+        )
+    shift = 32 - m.bit_length()
+    r = draw() >> shift
     while r >= m:
-        r = bits(k)
+        r = draw() >> shift
     return r
 
 
-def _sample(bits, pool, k: int) -> list:
+def _sample(draw, pool, k: int) -> list:
     """`Random.sample(pool, k)` for k <= 5 (so its small-set size is 21),
     drawn through `_below`: up to 21 items it draws from a shrinking copy
     of the pool, past that it redraws an index already chosen."""
@@ -585,38 +657,46 @@ def _sample(bits, pool, k: int) -> list:
         pool = list(pool)
         out = []
         for i in range(k):
-            j = _below(bits, n - i)
+            j = _below(draw, n - i)
             out.append(pool[j])
             pool[j] = pool[n - i - 1]
         return out
     chosen: list[int] = []
     for _ in range(k):
-        j = _below(bits, n)
+        j = _below(draw, n)
         while j in chosen:
-            j = _below(bits, n)
+            j = _below(draw, n)
         chosen.append(j)
     return [pool[j] for j in chosen]
 
 
-def _rand_flat(rng: random.Random, n: int, words) -> dict:
+def _rand_flat(draw, n: int, words) -> dict:
     """A random labeled polynomial, drawn straight into its flat map
     {(word, exponents): coefficient}: one or two words, each with one or
     two monomials of exponents at most 2 and total degree at most 6.  The
     draws are those of sample, randint, randrange and choice, read from
-    raw generator bits with `_below`."""
-    bits = rng.getrandbits
+    32-bit words with `_below`; an exponent is `_below(draw, 3)` inlined,
+    the top two bits of a word, drawn again while they are 3."""
     flat: dict = {}
-    for w in _sample(bits, words, min(len(words), 1 + _below(bits, 2))):
-        for _ in range(1 + _below(bits, 2)):
-            exps = [_below(bits, 3) for _ in range(n)]
+    for w in _sample(draw, words, min(len(words), 1 + _below(draw, 2))):
+        for _ in range(1 + _below(draw, 2)):
+            exps = []
+            for _ in range(n):
+                e = draw() >> 30
+                while e == 3:
+                    e = draw() >> 30
+                exps.append(e)
             while sum(exps) > 6:
-                exps[_below(bits, n)] = 0
+                exps[_below(draw, n)] = 0
             key = (w, tuple(exps))
-            flat[key] = flat.get(key, 0) + _COEFFS[_below(bits, 6)]
+            flat[key] = flat.get(key, 0) + _COEFFS[_below(draw, 6)]
     return {key: c for key, c in flat.items() if c != 0}
 
 
-def relation_suite(Q: Quiver, d: DimVector, trials: int = 100, seed: int = 0) -> SuiteReport:
+def relation_suite(
+    Q: Quiver, d: DimVector, trials: int = 100, seed: int = 0,
+    streams: TrialStreams | None = None,
+) -> SuiteReport:
     """Checks the defining relations of the labeled-polynomial action on
     seeded random inputs; also checks degree homogeneity of every
     generator.  Zero failures is the correctness gate for the crossing
@@ -625,10 +705,12 @@ def relation_suite(Q: Quiver, d: DimVector, trials: int = 100, seed: int = 0) ->
     Each relation side is a list of (coefficient, atoms) terms, atoms in
     operator order; a relation holds on an input when `_apply_terms`
     folds lhs - rhs over its flat map to all-zero coefficients.  No
-    operator is multiplied out.  Trial t of family `name` draws from the
-    state of `Random(f"{seed}:{name}:{t}")`: one generator per call is
-    reseeded to it, and every draw reads its bits through `_below`.  A
-    (Q, d) past `check_suite_size` is refused before any word is listed."""
+    operator is multiplied out.  Trial t of family `name` reads the words
+    of `Random(f"{seed}:{name}:{t}")` from `streams`, a `TrialStreams`
+    store (a fresh one when None; `cli.relations_cases` shares one across
+    its cases, whose trial keys repeat), and every draw reads its word
+    through `_below`.  A (Q, d) past `check_suite_size` is refused before
+    any word is listed."""
     if d.total < 1:
         raise ValueError("the relation suite needs a dimension vector with positive total")
     check_suite_size(Q, d)
@@ -640,10 +722,8 @@ def relation_suite(Q: Quiver, d: DimVector, trials: int = 100, seed: int = 0) ->
     square_rhs: dict = {}
     braid_rhs: dict = {}
     content = frozenset(words)
-    # one generator for the call, reseeded per trial; the families draw
-    # from it through its bound getrandbits
-    rng = random.Random()
-    bits = rng.getrandbits
+    if streams is None:
+        streams = TrialStreams()
 
     def E(w):
         return ("e", w)
@@ -654,8 +734,8 @@ def relation_suite(Q: Quiver, d: DimVector, trials: int = 100, seed: int = 0) ->
     def PSI(r):
         return ("psi", r)
 
-    def word() -> tuple:
-        return words[_below(bits, nw)]
+    def word(draw) -> tuple:
+        return words[_below(draw, nw)]
 
     def check_equal(lhs: list, rhs: list, f: dict) -> bool:
         diff = _apply_terms(Q, lhs + [(-c, atoms) for c, atoms in rhs], f)
@@ -681,10 +761,10 @@ def relation_suite(Q: Quiver, d: DimVector, trials: int = 100, seed: int = 0) ->
         return wrap
 
     @fam("idempotents")
-    def _idem() -> str | None:
-        f = _rand_flat(rng, n, words)
-        i = word()
-        j = word()
+    def _idem(draw) -> str | None:
+        f = _rand_flat(draw, n, words)
+        i = word(draw)
+        j = word(draw)
         if not check_equal([(1, (E(i), E(j)))], [(1, (E(i),))] if i == j else [], f):
             return f"e({i})e({j}) on {show(f)}"
         # e(w) keeps the keys of f on word w, so each content word that f
@@ -697,10 +777,10 @@ def relation_suite(Q: Quiver, d: DimVector, trials: int = 100, seed: int = 0) ->
         return None
 
     @fam("x-commute")
-    def _xcomm() -> str | None:
-        f = _rand_flat(rng, n, words)
-        k = 1 + _below(bits, n)
-        l = 1 + _below(bits, n)
+    def _xcomm(draw) -> str | None:
+        f = _rand_flat(draw, n, words)
+        k = 1 + _below(draw, n)
+        l = 1 + _below(draw, n)
         if not check_equal([(1, (X(k), X(l)))], [(1, (X(l), X(k)))], f):
             return f"x{k} x{l} on {show(f)}"
         return None
@@ -708,20 +788,20 @@ def relation_suite(Q: Quiver, d: DimVector, trials: int = 100, seed: int = 0) ->
     if n >= 2:
 
         @fam("label-exchange")
-        def _exchange() -> str | None:
-            f = _rand_flat(rng, n, words)
-            r = 1 + _below(bits, n - 1)
-            i = word()
+        def _exchange(draw) -> str | None:
+            f = _rand_flat(draw, n, words)
+            r = 1 + _below(draw, n - 1)
+            i = word(draw)
             si = i[:r - 1] + (i[r], i[r - 1]) + i[r + 1:]
             if not check_equal([(1, (PSI(r), E(i)))], [(1, (E(si), PSI(r)))], f):
                 return f"psi{r} e({i}) exchange on {show(f)}"
             return None
 
         @fam("mixed-left")
-        def _mixed_left() -> str | None:
-            f = _rand_flat(rng, n, words)
-            r = 1 + _below(bits, n - 1)
-            i = word()
+        def _mixed_left(draw) -> str | None:
+            f = _rand_flat(draw, n, words)
+            r = 1 + _below(draw, n - 1)
+            i = word(draw)
             lhs = [(1, (PSI(r), X(r), E(i))), (-1, (X(r + 1), PSI(r), E(i)))]
             rhs = [(1, (E(i),))] if i[r - 1] == i[r] else []
             if not check_equal(lhs, rhs, f):
@@ -729,10 +809,10 @@ def relation_suite(Q: Quiver, d: DimVector, trials: int = 100, seed: int = 0) ->
             return None
 
         @fam("mixed-right")
-        def _mixed_right() -> str | None:
-            f = _rand_flat(rng, n, words)
-            r = 1 + _below(bits, n - 1)
-            i = word()
+        def _mixed_right(draw) -> str | None:
+            f = _rand_flat(draw, n, words)
+            r = 1 + _below(draw, n - 1)
+            i = word(draw)
             lhs = [(1, (X(r), PSI(r), E(i))), (-1, (PSI(r), X(r + 1), E(i)))]
             rhs = [(1, (E(i),))] if i[r - 1] == i[r] else []
             if not check_equal(lhs, rhs, f):
@@ -740,10 +820,10 @@ def relation_suite(Q: Quiver, d: DimVector, trials: int = 100, seed: int = 0) ->
             return None
 
         @fam("psi-square")
-        def _square() -> str | None:
-            f = _rand_flat(rng, n, words)
-            r = 1 + _below(bits, n - 1)
-            i = word()
+        def _square(draw) -> str | None:
+            f = _rand_flat(draw, n, words)
+            r = 1 + _below(draw, n - 1)
+            i = word(draw)
             key = (i[r - 1], i[r], r)
             rhs = after_e(square_rhs, key, lambda: q_factor(Q, n, *key), i)
             if not check_equal([(1, (PSI(r), PSI(r), E(i)))], rhs, f):
@@ -753,11 +833,11 @@ def relation_suite(Q: Quiver, d: DimVector, trials: int = 100, seed: int = 0) ->
     if n >= 3:
 
         @fam("x-distant")
-        def _xdist() -> str | None:
-            f = _rand_flat(rng, n, words)
-            r = 1 + _below(bits, n - 1)
+        def _xdist(draw) -> str | None:
+            f = _rand_flat(draw, n, words)
+            r = 1 + _below(draw, n - 1)
             # a choice among the n - 2 positions other than r, r + 1, in order
-            s = 1 + _below(bits, n - 2)
+            s = 1 + _below(draw, n - 2)
             if s >= r:
                 s += 2
             if not check_equal([(1, (PSI(r), X(s)))], [(1, (X(s), PSI(r)))], f):
@@ -765,10 +845,10 @@ def relation_suite(Q: Quiver, d: DimVector, trials: int = 100, seed: int = 0) ->
             return None
 
         @fam("braid")
-        def _braid() -> str | None:
-            f = _rand_flat(rng, n, words)
-            r = 1 + _below(bits, n - 2)
-            i = word()
+        def _braid(draw) -> str | None:
+            f = _rand_flat(draw, n, words)
+            r = 1 + _below(draw, n - 2)
+            i = word(draw)
             lhs = [
                 (1, (PSI(r), PSI(r + 1), PSI(r), E(i))),
                 (-1, (PSI(r + 1), PSI(r), PSI(r + 1), E(i))),
@@ -782,24 +862,24 @@ def relation_suite(Q: Quiver, d: DimVector, trials: int = 100, seed: int = 0) ->
     if n >= 4:
 
         @fam("psi-distant")
-        def _psidist() -> str | None:
-            f = _rand_flat(rng, n, words)
-            r = 1 + _below(bits, n - 3)
-            s = r + 2 + _below(bits, n - r - 2)
+        def _psidist(draw) -> str | None:
+            f = _rand_flat(draw, n, words)
+            r = 1 + _below(draw, n - 3)
+            s = r + 2 + _below(draw, n - r - 2)
             if not check_equal([(1, (PSI(r), PSI(s)))], [(1, (PSI(s), PSI(r)))], f):
                 return f"psi{r} psi{s} on {show(f)}"
             return None
 
     @fam("degree-homogeneity")
-    def _homog() -> str | None:
-        i = word()
-        exps = tuple(_below(bits, 3) for _ in range(n))
-        f = {(i, exps): (1, 2, -1)[_below(bits, 3)]}
+    def _homog(draw) -> str | None:
+        i = word(draw)
+        exps = tuple(_below(draw, 3) for _ in range(n))
+        f = {(i, exps): (1, 2, -1)[_below(draw, 3)]}
         in_deg = 2 * sum(exps) + word_offset(Q, i)
-        gens: list[tuple] = [E(word()), X(1 + _below(bits, n))]
+        gens: list[tuple] = [E(word(draw)), X(1 + _below(draw, n))]
         if n >= 2:
-            gens.append(PSI(1 + _below(bits, n - 1)))
-        atom = gens[_below(bits, len(gens))]
+            gens.append(PSI(1 + _below(draw, n - 1)))
+        atom = gens[_below(draw, len(gens))]
         shift = atom_degree(Q, atom, i)
         degs = show(_apply_terms(Q, [(1, (atom,))], f)).offset_degrees(Q)
         if degs and degs != {in_deg + shift}:
@@ -811,8 +891,7 @@ def relation_suite(Q: Quiver, d: DimVector, trials: int = 100, seed: int = 0) ->
         failures = 0
         witness = None
         for t in range(trials):
-            rng.seed(f"{seed}:{name}:{t}")
-            w = fn()
+            w = fn(streams.draw(f"{seed}:{name}:{t}"))
             if w is not None:
                 failures += 1
                 if witness is None:

@@ -20,24 +20,25 @@ echelon form, so every enumerated first step is in that form too: a
 quotient reads the pivots off the step's rows and reduces each image column
 by them, with no elimination and no linear solve.
 An `FqGraph(Q, q)` holds a graph of nodes, one per literal quotient (the
-same dims and the same matrices) of representations of Q over F_q, and one
-list of the Gr(k, m)(F_q) echelon forms per (k, m).  An `FqOracle(Q, M, q,
-graph)` holds the materialized M and its node in that graph, so every
-composition of M, and every class counted through the same graph, reads
-the nodes the others left.  A node forms its socle kernels at most once,
+same dims and the same matrices) of representations of Q over F_q, and
+reads the Gr(k, m)(F_q) echelon forms, one list per (k, m), from an
+`EchelonForms(q)` that the graphs of several quivers may share.  An
+`FqOracle(Q, M, q, graph)` holds the materialized M and its node in that
+graph, so every composition of M, and every class counted through the
+same graph, reads the nodes the others left.  A node forms its socle kernels at most once,
 and for each first step its children once: the distinct quotients its
 enumerated first steps leave, each with the number of steps that leave
 it.  A count is the sum over the children of multiplicity times the
 child's count with the remaining steps, kept once per (node, steps).  When
 every arrow acts by zero, every first step leaves the same zero quotient,
 so that node has one child, whose multiplicity is the number of echelon
-forms, the length of the graph's lists, without forming the steps.  An
+forms, the length of the echelon lists, without forming the steps.  An
 oracle without a graph builds a fresh one, and `count_points` without an
 oracle builds a fresh oracle for the call; `cli.paving_oracle_cases` keeps
-one graph per (quiver, q) for a whole sweep.  However long the graph
-lives, the count is still a direct enumeration on literal matrices: it
-uses no formula for the count, no paving recursion, and never identifies
-isomorphic quotients.
+one graph per (quiver, q), and one `EchelonForms` per q, for a whole
+sweep.  However long the graph lives, the count is still a direct
+enumeration on literal matrices: it uses no formula for the count, no
+paving recursion, and never identifies isomorphic quotients.
 """
 
 from __future__ import annotations
@@ -290,13 +291,35 @@ class _Node:
         self.counts: dict[tuple[DimVector, ...], int] = {}
 
 
+class EchelonForms:
+    """The Gr(k, m)(F_q) echelon forms of one field F_q, one list per
+    (k, m), enumerated on first use and shared by every `FqGraph` over F_q
+    built on it: the lists depend on (k, m, q) only, not on the quiver.
+    Call-scoped: `cli.paving_oracle_cases` keeps one per q for a sweep.
+    Two threads may both build a list; either copy serves."""
+
+    def __init__(self, q: int):
+        if not is_prime(q):
+            raise ValueError(f"{q} is not prime")
+        self.q = q
+        self._lists: dict[tuple[int, int], list[tuple[tuple[int, ...], ...]]] = {}
+
+    def forms(self, k: int, m: int) -> list[tuple[tuple[int, ...], ...]]:
+        forms = self._lists.get((k, m))
+        if forms is None:
+            forms = self._lists[(k, m)] = list(_rref_matrices(k, m, self.q))
+        return forms
+
+
 class FqGraph:
     """The literal quotients of representations of one quiver Q over one
     field F_q, shared by every `FqOracle` built on it.
 
     Call-scoped, like `extalg.Strata`: it holds one node per literal
-    quotient (dimensions and every matrix entry in arrow order) and one
-    list of the Gr(k, m)(F_q) echelon forms per (k, m).  A node's children
+    quotient (dimensions and every matrix entry in arrow order), and reads
+    the Gr(k, m)(F_q) echelon forms from `echelons`, an `EchelonForms(q)`:
+    a fresh one when None, or one shared with the graphs of other quivers
+    over F_q; one of another field is a ValueError.  A node's children
     for a first step are the distinct quotients that the enumerated
     echelon first steps leave, each with the number of steps that leave
     it, so the count of (node, parts) is the sum over children of
@@ -311,12 +334,14 @@ class FqGraph:
     list or an echelon list; either copy counts correctly, so a graph may
     serve several threads."""
 
-    def __init__(self, Q: Quiver, q: int):
-        if not is_prime(q):
-            raise ValueError(f"{q} is not prime")
+    def __init__(self, Q: Quiver, q: int, echelons: EchelonForms | None = None):
+        if echelons is None:
+            echelons = EchelonForms(q)
+        elif echelons.q != q:
+            raise ValueError(f"echelon forms over F_{echelons.q}, asked for F_{q}")
         self.Q, self.q = Q, q
+        self.echelons = echelons
         self._nodes: dict[tuple, _Node] = {}
-        self._echelon: dict[tuple[int, int], list[tuple[tuple[int, ...], ...]]] = {}
 
     def _node(self, rep: _MatRep) -> _Node:
         # every matrix entry, row by row, in arrow order
@@ -329,14 +354,8 @@ class FqGraph:
             node = self._nodes[key] = _Node(dims, rep if any(entries) else None)
         return node
 
-    def _echelon_forms(self, k: int, m: int) -> list[tuple[tuple[int, ...], ...]]:
-        forms = self._echelon.get((k, m))
-        if forms is None:
-            forms = self._echelon[(k, m)] = list(_rref_matrices(k, m, self.q))
-        return forms
-
     def _gr_points(self, k: int, m: int) -> int:
-        return len(self._echelon_forms(k, m))
+        return len(self.echelons.forms(k, m))
 
     def _children(self, node: _Node, step: DimVector) -> tuple[tuple[_Node, int], ...]:
         kids = node.children.get(step)
@@ -368,7 +387,7 @@ class FqGraph:
                     columns = list(zip(*kernel))
                     per_vertex_choices.append([
                         [[sum(map(mul, row, col)) % p for col in columns] for row in rmat]
-                        for rmat in self._echelon_forms(step[v], len(kernel))
+                        for rmat in self.echelons.forms(step[v], len(kernel))
                     ])
                 for graded_choice in itertools.product(*per_vertex_choices):
                     child = self._node(rep.quotient(list(graded_choice)))

@@ -14,6 +14,7 @@ import os
 import random
 import subprocess
 import sys
+import threading
 import time
 from math import comb
 
@@ -809,6 +810,34 @@ def test_suite_relations_small_run(capsys):
     assert doc["schema"] == "suite/1"
     assert doc["ok"] is True
     assert doc["cases"] and all(case["ok"] for case in doc["cases"])
+
+
+def test_relations_fold_inputs_do_not_depend_on_threads(monkeypatch, capsys):
+    # the bytes are all PASS lines, so a race in the shared trial store
+    # that changed a draw would show only in what the cases fold
+    local = threading.local()
+    real_suite, real_apply = cli.relation_suite, klrpoly._apply_terms
+    folds: dict = {}
+
+    def suite(Q, d, *args, **kwargs):
+        local.h = folds[f"{Q} {d}"] = hashlib.sha256()
+        return real_suite(Q, d, *args, **kwargs)
+
+    def recorded(Q, terms, flat):
+        local.h.update(repr((terms, sorted(flat.items()))).encode())
+        return real_apply(Q, terms, flat)
+
+    monkeypatch.setattr(cli, "relation_suite", suite)
+    monkeypatch.setattr(klrpoly, "_apply_terms", recorded)
+    runs = []
+    for threads in ("1", "2"):
+        folds.clear()
+        code, _ = run_cli(capsys, "suite", "relations", "--trials", "10",
+                          "--max-total", "3", "--threads", threads)
+        assert code == 0
+        runs.append({case: h.hexdigest() for case, h in folds.items()})
+    assert runs[0] == runs[1]
+    assert len(runs[0]) == len(cli.relations_cases(3, 10, 0))
 
 
 def test_paving_oracle_cases_share_one_composition_list_per_d(monkeypatch):

@@ -16,10 +16,12 @@ partition counts with parts of size at most $n$.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import random
 import re
-import types
+import sys
+import threading
 from fractions import Fraction
 from itertools import permutations
 
@@ -308,7 +310,8 @@ def test_flat_draws_are_the_pinned_inputs():
             for name in families:
                 for t in range(8):
                     rng = random.Random(f"{seed}:{name}:{t}")
-                    flat = klrpoly._rand_flat(rng, sum(d), words)
+                    flat = klrpoly._rand_flat(functools.partial(rng.getrandbits, 32),
+                                              sum(d), words)
                     h.update(repr((sorted(flat.items()), rng.getstate())).encode())
     assert h.hexdigest() == _DRAW_DIGEST
 
@@ -320,38 +323,49 @@ _TRIAL_STATE_DIGEST = "dff70ca5adf9a46feff98635baf504c241dcc46008a167c9b7b67ff39
 _TRIAL_INPUT_DIGEST = "4b571767fa76e3d9d35d992979987bdf45de3a292dc03353302ad69342d29342"
 
 
+def _count_words(monkeypatch):
+    """Records [key, words read] for every trial draw function the
+    `TrialStreams` stores hand out, in the order they hand them out."""
+    read = []
+    real_draw = klrpoly.TrialStreams.draw
+
+    def counted(self, key):
+        draw = real_draw(self, key)
+        record = [key, 0]
+        read.append(record)
+
+        def next_word():
+            record[1] += 1
+            return draw()
+        return next_word
+
+    monkeypatch.setattr(klrpoly.TrialStreams, "draw", counted)
+    return read
+
+
 def test_every_trial_ends_in_the_pinned_generator_state(monkeypatch):
+    # a trial that read c words of its key's stream ends where Random(key)
+    # ends after c calls of getrandbits(32)
     h = hashlib.sha256()
     h_in = hashlib.sha256()
-    live = [None]  # the generator of the running trial
     real_apply = klrpoly._apply_terms
-
-    def flush():
-        if live[0] is not None:
-            h.update(repr(live[0].getstate()).encode())
-
-    class Recording(random.Random):
-        # a trial starts when a generator is seeded from its trial name;
-        # the generator of the trial before is then in its end state
-        def seed(self, a=None, version=2):
-            if a is not None:
-                flush()
-                h.update(repr(a).encode())
-                live[0] = self
-            super().seed(a, version)
 
     def recorded(Q, terms, flat):
         h_in.update(repr((terms, sorted(flat.items()))).encode())
         return real_apply(Q, terms, flat)
 
-    monkeypatch.setattr(klrpoly, "random", types.SimpleNamespace(Random=Recording))
+    read = _count_words(monkeypatch)
     monkeypatch.setattr(klrpoly, "_apply_terms", recorded)
     for spec, d in (("A2", (1, 1)), ("A3", (1, 2, 1)), ("cyclic:2", (2, 1)),
                     ("cyclic:3", (1, 1, 2))):
         for seed in (0, 1):
             assert relation_suite(parse_quiver(spec), DimVector(d), trials=10, seed=seed).ok
-            flush()
-            live[0] = None
+    for key, count in read:
+        rng = random.Random(key)
+        for _ in range(count):
+            rng.getrandbits(32)
+        h.update(repr(key).encode())
+        h.update(repr(rng.getstate()).encode())
     assert h.hexdigest() == _TRIAL_STATE_DIGEST
     assert h_in.hexdigest() == _TRIAL_INPUT_DIGEST
 
@@ -364,19 +378,133 @@ def test_raw_bit_draws_equal_the_random_module():
     pools = [tuple(range(m)) for m in (1, 2, 3, 5, 12, 20, 21, 22, 23, 90)]
     for seed in range(300):
         a, b = random.Random(seed), random.Random(seed)
-        bits = b.getrandbits
-        for m in (1, 2, 3, 4, 5, 6, 7, 8, 12, 63, 64, 65, 1000):
-            assert a.randrange(m) == below(bits, m)
-            assert a.randint(1, m) == 1 + below(bits, m)
-            assert a.randrange(5, 5 + m) == 5 + below(bits, m)
+        draw = functools.partial(b.getrandbits, 32)
+        for m in (1, 2, 3, 4, 5, 6, 7, 8, 12, 63, 64, 65, 1000, 2**31, 2**32 - 1):
+            assert a.randrange(m) == below(draw, m)
+            assert a.randint(1, m) == 1 + below(draw, m)
+            assert a.randrange(5, 5 + m) == 5 + below(draw, m)
         for pool in pools:
-            assert a.choice(pool) == pool[below(bits, len(pool))]
+            assert a.choice(pool) == pool[below(draw, len(pool))]
             for k in range(min(len(pool), 2) + 1):
-                assert a.sample(pool, k) == sample(bits, pool, k)
+                assert a.sample(pool, k) == sample(draw, pool, k)
         assert a.getstate() == b.getstate()
-    for m in (0, -3):
-        with pytest.raises(ValueError):
-            below(random.Random(0).getrandbits, m)
+
+
+@pytest.mark.parametrize("m", [0, -3, 2**32, 2**40])
+def test_a_bound_one_word_cannot_serve_is_refused(m):
+    rng = random.Random(0)
+    with pytest.raises(ValueError):
+        klrpoly._below(functools.partial(rng.getrandbits, 32), m)
+    # refused before any word is read
+    assert rng.getstate() == random.Random(0).getstate()
+
+
+def test_a_stream_past_its_first_prefix_is_the_generator_sequence():
+    # trials on the 20 strands of A1 (20) read past the first prefix of
+    # their streams
+    Q, d = parse_quiver("A1"), DimVector((20,))
+    read = []
+    real_draw = klrpoly.TrialStreams.draw
+
+    def recorded(self, key):
+        draw = real_draw(self, key)
+        words = []
+        read.append((key, words))
+
+        def next_word():
+            words.append(draw())
+            return words[-1]
+        return next_word
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(klrpoly.TrialStreams, "draw", recorded)
+        assert relation_suite(Q, d, trials=20, seed=3).ok
+    assert max(len(words) for _, words in read) > klrpoly._FIRST_WORDS
+    for key, words in read:
+        rng = random.Random(key)
+        assert words == [rng.getrandbits(32) for _ in words], key
+    # three growth steps, and a store that already holds a grown prefix
+    # hands out the same words again
+    rng = random.Random("3:braid:0")
+    want = [rng.getrandbits(32) for _ in range(5 * klrpoly._FIRST_WORDS)]
+    streams = klrpoly.TrialStreams()
+    for _ in range(2):
+        draw = streams.draw("3:braid:0")
+        assert [draw() for _ in want] == want
+
+
+def test_threads_sharing_a_store_read_the_generator_sequence():
+    # more threads than cores, switching often, read streams of shared keys
+    # to different lengths; each reads its key's words, and no entry is
+    # replaced by a shorter one
+    keys = [f"0:braid:{t}" for t in range(40)]
+    lengths = (5, klrpoly._FIRST_WORDS + 1, 3 * klrpoly._FIRST_WORDS, 7 * klrpoly._FIRST_WORDS)
+    want = {}
+    for key in keys:
+        rng = random.Random(key)
+        want[key] = [rng.getrandbits(32) for _ in range(2 * max(lengths))]
+    streams = klrpoly.TrialStreams()
+    wrong = []
+    read = []
+
+    def reader(offset):
+        for i in range(4 * len(keys)):
+            key = keys[(i + offset) % len(keys)]
+            length = lengths[(i // len(keys) + offset) % len(lengths)]
+            draw = streams.draw(key)
+            if [draw() for _ in range(length)] != want[key][:length]:
+                wrong.append((key, length))
+            read.append((key, length))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=reader, args=(k,)) for k in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []
+    for key in keys:
+        stored = streams._words[key]
+        assert len(stored) >= max(length for k, length in read if k == key)
+        assert list(stored) == want[key][:len(stored)]
+    assert {length for _, length in read} == set(lengths)
+
+
+def _fold_inputs(monkeypatch, cases) -> list:
+    """The fold inputs of every case, run in order, as one digest each."""
+    inputs: dict = {}
+    current = []
+    real_apply = klrpoly._apply_terms
+
+    def recorded(Q, terms, flat):
+        current.append(repr((terms, sorted(flat.items()))))
+        return real_apply(Q, terms, flat)
+
+    monkeypatch.setattr(klrpoly, "_apply_terms", recorded)
+    for cid, check in cases:
+        ok, _ = check()
+        assert ok, cid
+        inputs[cid] = hashlib.sha256("\n".join(current).encode()).hexdigest()
+        current.clear()
+    return inputs
+
+
+def test_a_shared_store_draws_what_a_fresh_store_draws(monkeypatch):
+    # the sweep's one store against a fresh store per relation_suite call
+    from quiverchow import cli
+
+    for seed in (0, 7):
+        shared = _fold_inputs(monkeypatch, cli.relations_cases(3, 10, seed))
+        monkeypatch.setattr(cli, "TrialStreams", lambda: None)
+        fresh = _fold_inputs(monkeypatch, cli.relations_cases(3, 10, seed))
+        monkeypatch.undo()
+        assert shared == fresh
+        assert len(shared) == len(cli.relations_cases(3, 10, seed))
 
 
 def test_relation_suite_catches_a_flipped_arrow_factor(monkeypatch):

@@ -25,6 +25,7 @@ from quiverchow.nilrep import enumerate_nilreps, parse_multisegment, semisimple_
 from quiverchow import paving
 from quiverchow.paving import (
     CellSet,
+    EchelonForms,
     FqGraph,
     FqOracle,
     _MatRep,
@@ -378,6 +379,11 @@ def test_graph_of_another_quiver_or_field_is_refused():
         FqOracle(parse_quiver("cyclic:2"), parse_multisegment("(0,1)"), 3, graph)
     with pytest.raises(ValueError):
         FqGraph(LOOP, 4)
+    with pytest.raises(ValueError):
+        FqGraph(LOOP, 3, EchelonForms(2))
+    with pytest.raises(ValueError):
+        EchelonForms(4)
+    assert FqGraph(LOOP, 3, graph.echelons).echelons is graph.echelons
 
 
 def test_shared_graph_counts_equal_fresh_counts():
@@ -401,25 +407,25 @@ def test_shared_graph_counts_equal_fresh_counts():
     assert compared > 1000
 
 
-def test_one_echelon_list_per_grassmannian_per_graph(monkeypatch):
-    # a sweep holds one graph per (quiver, q), and each graph enumerates the
-    # echelon forms of each Gr(k, m) once, for its steps and its point counts
+def test_one_echelon_list_per_grassmannian_per_field(monkeypatch):
+    # a sweep holds one graph per (quiver, q) and one EchelonForms per q,
+    # so the echelon forms of each Gr(k, m) over F_q are enumerated once
+    # for every quiver, for their steps and their point counts
     calls = []
     real = paving._rref_matrices
 
     def counted(k, m, p):
-        graph = sys._getframe(1).f_locals["self"]
-        assert isinstance(graph, FqGraph) and graph.q == p
-        calls.append((graph, k, m))
+        store = sys._getframe(1).f_locals["self"]
+        assert isinstance(store, EchelonForms) and store.q == p
+        calls.append((store, k, m))
         return real(k, m, p)
 
     monkeypatch.setattr(paving, "_rref_matrices", counted)
     for name, check in paving_oracle_cases(3):
         assert check()[0], name
-    assert len({(id(g), k, m) for g, k, m in calls}) == len(calls)
-    graphs = {id(g): (g.Q, g.q) for g, _, _ in calls}
-    assert len(set(graphs.values())) == len(graphs) == len(SUITE_QUIVERS) * 3
-    assert len(calls) == 120
+    assert len({(store.q, k, m) for store, k, m in calls}) == len(calls)
+    assert sorted({id(store): store.q for store, _, _ in calls}.values()) == [2, 3, 5]
+    assert len(calls) == 24
 
 
 def test_one_part_counts_one_exactly_on_semisimple_classes():
