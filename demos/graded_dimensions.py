@@ -15,8 +15,13 @@ from __future__ import annotations
 
 from itertools import permutations
 
-from quiverchow.extalg import compare_block, gdim_geo, gdim_schur_table, springer_smash_gdim
-from quiverchow.quiver import DimVector, enumerate_complete_comps, parse_quiver
+from quiverchow.extalg import Strata, compare_block, gdim_geo, springer_smash_gdim
+from quiverchow.quiver import (
+    DimVector,
+    enumerate_complete_comps,
+    enumerate_compositions,
+    parse_quiver,
+)
 from quiverchow.series import HalfLaurentSeries, bgl
 
 
@@ -64,8 +69,12 @@ def main() -> None:
 
     print()
     print("== the full table over all compositions, A_1 d = 2 ==")
-    for key, series in gdim_schur_table(parse_quiver("A1"), DimVector((2,)), 10).items():
-        show(str(key), series=series)
+    A1, d2 = parse_quiver("A1"), DimVector((2,))
+    comps = enumerate_compositions(d2)
+    strata = Strata(A1, d2)
+    for ci in comps:
+        for cj in comps:
+            show(f"{ci}|{cj}", series=gdim_geo(A1, d2, ci, cj, 10, strata))
 
 
 if __name__ == "__main__":

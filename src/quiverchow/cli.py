@@ -826,12 +826,16 @@ def relations_cases(max_total: int = 4, trials: int = 100, seed: int = 0):
     trials without a failure.  Every (quiver, d) is checked against the
     relation-suite bounds before any case runs.
 
-    Every case reads its trials' words from one `TrialStreams` store,
-    made empty here and filled only while the cases run: the trial keys
-    f"{seed}:{name}:{t}" repeat across the cases, so a key's generator is
-    seeded by the first case that draws from it and later cases read the
-    words it stored, the same words a fresh generator would yield.  Cases
-    on several threads may share the store."""
+    Every case reads its trial inputs from one `TrialStreams` store, made
+    empty here and filled only while the cases run.  A trial's input is
+    drawn as indices from the words of its key f"{seed}:{name}:{t}", and
+    depends only on that key and the case's shape (n strands, nw content
+    words), not on the quiver: the 104 cases at total 4 fall on 10 shapes.
+    So the first case of a shape draws each of its trials' inputs and
+    every later case of that shape reads them back, the same inputs a
+    fresh generator would give.  Cases on several threads may share the
+    store; two of them may both draw an input, and either copy is the
+    same."""
     cases = []
     streams = TrialStreams()
     for qspec in SUITE_QUIVERS:

@@ -50,7 +50,6 @@ from .quiver import (
     DimVector,
     Quiver,
     dim_qvariety,
-    enumerate_compositions,
     permutation_degrees,
 )
 from .series import DEFAULT_TRUNC, HalfLaurentSeries, bgl, first_discrepancy, times_bgl
@@ -327,20 +326,6 @@ def compare_block(
     # alg_wide is exact to u^(N - shift) at least, so its shift is exact to u^N
     gap = first_discrepancy(geo, alg_wide.shifted(shift, N))
     return GdimReport(geo, alg, shift, gap is None, gap)
-
-
-def gdim_schur_table(
-    Q: Quiver, d: DimVector, N: int = DEFAULT_TRUNC
-) -> dict[BlockKey, HalfLaurentSeries]:
-    """Geometric series for every pair of compositions of d, complete or
-    not; the coarse blocks have no independent algebraic formula here."""
-    comps = enumerate_compositions(d)
-    strata = Strata(Q, d)
-    table: dict[BlockKey, HalfLaurentSeries] = {}
-    for ci in comps:
-        for cj in comps:
-            table[BlockKey(Q, d, ci, cj)] = gdim_geo(Q, d, ci, cj, N, strata)
-    return table
 
 
 def springer_smash_gdim(n: int, N: int = DEFAULT_TRUNC) -> HalfLaurentSeries:

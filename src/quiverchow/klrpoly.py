@@ -15,11 +15,13 @@ input's map; `KLROperator.apply` calls it and wraps the result as a
 presentation on seeded random inputs, drawn straight into flat maps: each
 relation side is a term list folded by the same kernel, so no operator is
 multiplied out.  It is the normative gate for the sign conventions.  Trial
-t of family `name` reads the 32-bit words that `Random(f"{seed}:{name}:{t}")`
-yields, in order, from a `TrialStreams` store that a sweep shares across
-its cases, so a trial key seen before seeds no generator; the draws take
-the top bits of each word through `_below`, exactly the bits and values
-of the `random` methods they replace, and tests pin them by digests.
+t of family `name` draws its input from the 32-bit words that
+`Random(f"{seed}:{name}:{t}")` yields, taking the top bits of each word
+through `_below`, exactly the bits and values of the `random` methods they
+replace; tests pin them by digests.  The input is drawn as indices, so it
+depends on the trial key and the case's shape (strands, word count) alone,
+and a `TrialStreams` store that a sweep shares across its cases draws each
+once and hands it to every later case of that shape.
 
 The second algebra is the smash product of a polynomial ring with the
 symmetric group, S # Q[S_n], with multiplication (f.w)(g.v) = f w(g) . wv;
@@ -33,13 +35,14 @@ All arithmetic is exact (ints and Fractions); nothing here floats.
 
 from __future__ import annotations
 
+import functools
 import itertools
-import random
 import sys
 import threading
 from array import array
 from dataclasses import dataclass
 from math import comb
+from random import Random
 
 from .linalg import rank_int
 from .quiver import DimVector, Quiver, cartan, content_words, multinomial
@@ -576,24 +579,51 @@ _FIRST_WORDS = 128
 
 
 class TrialStreams:
-    """The word streams of relation-suite trials, one per trial key.
+    """The inputs of relation-suite trials, drawn once per trial key and
+    shape, and the word streams they are drawn from.
 
-    For a key it holds the 32-bit words that `Random(key).getrandbits(32)`
-    yields, in order, as a prefix of that stream in one `array('I')`.  A
-    key's first draw stores its first `_FIRST_WORDS` words; a trial that
-    reads past the prefix it holds replaces it by one twice as long, built
-    from a fresh `Random(key)`.  Call-scoped, like `paving.FqGraph`: it
-    lives as long as its holder keeps it (`cli.relations_cases` keeps one
-    for a sweep, and `relation_suite` without one makes a fresh store per
-    call), and a trial key repeated by a later case reads the words its
-    first case stored instead of seeding a generator.  Entries are never
-    changed in place and are only ever replaced by a longer prefix of the
-    same stream, so a reader holding an older entry still reads the right
-    words, and two threads may share the store."""
+    A trial's input depends only on its key f"{seed}:{name}:{t}" and on
+    the shape (n, nw) of its case, n strands and nw content words: every
+    draw is `_below` of a bound made of n, nw and earlier draws, and words
+    enter only as indices into the case's word list.  So `inputs` keeps
+    the index-level input of each (n, nw, key), one `bytes` per key in one
+    dict per shape, and a case of that shape on any quiver reads it back
+    without drawing.  A miss draws it from the key's word stream: the
+    32-bit words that `Random(key).getrandbits(32)` yields, in order, held
+    as a prefix of that stream in one `array('I')`.  A key's first draw
+    stores its first `_FIRST_WORDS` words; a trial that reads past the
+    prefix it holds replaces it by one twice as long, built from a fresh
+    `Random(key)`.
+
+    Call-scoped, like `paving.FqGraph`: it lives as long as its holder
+    keeps it (`cli.relations_cases` keeps one for a sweep).  Two threads
+    may share the store.  Entries are never changed in place; two threads
+    may both draw the same input, and whichever copy is stored first is
+    kept, the other being identical.  A word stream is only ever replaced
+    by a longer prefix of the same stream, so a reader holding an older
+    one still reads the right words."""
 
     def __init__(self):
         self._words: dict[str, array] = {}
+        self._inputs: dict[tuple[int, int], dict[str, bytes | tuple]] = {}
         self._lock = threading.Lock()
+
+    def inputs(self, key: str, n: int, nw: int, step):
+        """The index-level input of trial `key` on n strands and nw words:
+        step(draw) for the draw function of key the first time, stored as
+        `bytes` (a tuple past 256 words, whose indices need more than one
+        byte; every other value is below the strand cap, 64), and that
+        stored copy on every later call.  step must read only n, nw and
+        its draws."""
+        shape = self._inputs.get((n, nw))
+        if shape is None:
+            shape = self._inputs.setdefault((n, nw), {})
+        entry = shape.get(key)
+        if entry is None:
+            key = sys.intern(key)  # one key string for every shape
+            ints = step(self.draw(key))
+            entry = shape.setdefault(key, bytes(ints) if nw <= 256 else tuple(ints))
+        return entry
 
     def draw(self, key: str):
         """The draw function of trial `key`: each call returns the next
@@ -620,7 +650,7 @@ def _stream_prefix(key: str, length: int) -> array:
     """The first `length` words of `Random(key).getrandbits(32)`, in order:
     getrandbits(32 * length) holds them with the first in its lowest 32
     bits."""
-    bits = random.Random(key).getrandbits(32 * length)
+    bits = Random(key).getrandbits(32 * length)
     words = array("I", bits.to_bytes(4 * length, "little"))
     if sys.byteorder == "big":
         words.byteswap()
@@ -648,37 +678,38 @@ def _below(draw, m: int) -> int:
     return r
 
 
-def _sample(draw, pool, k: int) -> list:
-    """`Random.sample(pool, k)` for k <= 5 (so its small-set size is 21),
-    drawn through `_below`: up to 21 items it draws from a shrinking copy
-    of the pool, past that it redraws an index already chosen."""
-    n = len(pool)
-    if n <= 21:
-        pool = list(pool)
+def _sample(draw, m: int, k: int) -> list:
+    """`Random.sample(range(m), k)` for k <= 5 (so its small-set size is
+    21), drawn through `_below`: up to 21 items it draws from a shrinking
+    copy of the pool, past that it redraws an index already chosen."""
+    if m <= 21:
+        pool = list(range(m))
         out = []
         for i in range(k):
-            j = _below(draw, n - i)
+            j = _below(draw, m - i)
             out.append(pool[j])
-            pool[j] = pool[n - i - 1]
+            pool[j] = pool[m - i - 1]
         return out
     chosen: list[int] = []
     for _ in range(k):
-        j = _below(draw, n)
+        j = _below(draw, m)
         while j in chosen:
-            j = _below(draw, n)
+            j = _below(draw, m)
         chosen.append(j)
-    return [pool[j] for j in chosen]
+    return chosen
 
 
-def _rand_flat(draw, n: int, words) -> dict:
-    """A random labeled polynomial, drawn straight into its flat map
-    {(word, exponents): coefficient}: one or two words, each with one or
-    two monomials of exponents at most 2 and total degree at most 6.  The
-    draws are those of sample, randint, randrange and choice, read from
-    32-bit words with `_below`; an exponent is `_below(draw, 3)` inlined,
-    the top two bits of a word, drawn again while they are 3."""
-    flat: dict = {}
-    for w in _sample(draw, words, min(len(words), 1 + _below(draw, 2))):
+def _rand_terms(draw, n: int, nw: int) -> list:
+    """A random labeled polynomial on n strands and nw words, by index:
+    one or two words, each with one or two monomials of exponents at most
+    2 and total degree at most 6, as n + 2 ints per monomial: the word's
+    index, the index of its coefficient in `_COEFFS`, and the exponents.
+    The draws are those of sample, randint, randrange and choice, read
+    from 32-bit words with `_below`; an exponent is `_below(draw, 3)`
+    inlined, the top two bits of a word, drawn again while they are 3.
+    `_flat_of` reads the polynomial back."""
+    out = []
+    for wi in _sample(draw, nw, min(nw, 1 + _below(draw, 2))):
         for _ in range(1 + _below(draw, 2)):
             exps = []
             for _ in range(n):
@@ -688,8 +719,18 @@ def _rand_flat(draw, n: int, words) -> dict:
                 exps.append(e)
             while sum(exps) > 6:
                 exps[_below(draw, n)] = 0
-            key = (w, tuple(exps))
-            flat[key] = flat.get(key, 0) + _COEFFS[_below(draw, 6)]
+            out += (wi, _below(draw, 6), *exps)
+    return out
+
+
+def _flat_of(inputs, start: int, n: int, words) -> dict:
+    """The flat map {(word, exponents): coefficient} of the monomials that
+    `_rand_terms` drew, read from inputs[start:] on the given words: the
+    coefficients of one key add up, and a key whose sum is 0 is dropped."""
+    flat: dict = {}
+    for p in range(start, len(inputs), n + 2):
+        key = (words[inputs[p]], tuple(inputs[p + 2:p + 2 + n]))
+        flat[key] = flat.get(key, 0) + _COEFFS[inputs[p + 1]]
     return {key: c for key, c in flat.items() if c != 0}
 
 
@@ -705,12 +746,18 @@ def relation_suite(
     Each relation side is a list of (coefficient, atoms) terms, atoms in
     operator order; a relation holds on an input when `_apply_terms`
     folds lhs - rhs over its flat map to all-zero coefficients.  No
-    operator is multiplied out.  Trial t of family `name` reads the words
-    of `Random(f"{seed}:{name}:{t}")` from `streams`, a `TrialStreams`
-    store (a fresh one when None; `cli.relations_cases` shares one across
-    its cases, whose trial keys repeat), and every draw reads its word
-    through `_below`.  A (Q, d) past `check_suite_size` is refused before
-    any word is listed."""
+    operator is multiplied out.  Each family has two steps.  Its draw
+    step reads the words of `Random(f"{seed}:{name}:{t}")` for trial t,
+    each through `_below`, into an index-level input: word indices into
+    the content words, exponents, coefficient indices and positions.  It
+    reads only n = total(d), the word count nw and its draws, so the
+    input depends on the key and (n, nw) alone, never on the quiver or
+    the words.  Its check step maps the indices to this case's words and
+    folds.  With `streams`, a `TrialStreams` store, the inputs come from
+    the store, which draws each (key, n, nw) once (`cli.relations_cases`
+    shares one across its cases, whose keys and shapes repeat); without
+    it, each trial draws from a fresh `Random(key)`.  A (Q, d) past
+    `check_suite_size` is refused before any word is listed."""
     if d.total < 1:
         raise ValueError("the relation suite needs a dimension vector with positive total")
     check_suite_size(Q, d)
@@ -722,8 +769,6 @@ def relation_suite(
     square_rhs: dict = {}
     braid_rhs: dict = {}
     content = frozenset(words)
-    if streams is None:
-        streams = TrialStreams()
 
     def E(w):
         return ("e", w)
@@ -733,9 +778,6 @@ def relation_suite(
 
     def PSI(r):
         return ("psi", r)
-
-    def word(draw) -> tuple:
-        return words[_below(draw, nw)]
 
     def check_equal(lhs: list, rhs: list, f: dict) -> bool:
         diff = _apply_terms(Q, lhs + [(-c, atoms) for c, atoms in rhs], f)
@@ -752,19 +794,32 @@ def relation_suite(
             terms = memo[key] = _poly_terms(poly())
         return [(c, atoms + (E(i),)) for c, atoms in terms]
 
-    families: list[tuple[str, object]] = []
+    def flat(inputs) -> dict:
+        """The random polynomial of a two-value input (`drawn`)."""
+        return _flat_of(inputs, 2, n, words)
 
-    def fam(name):
-        def wrap(fn):
-            families.append((name, fn))
-            return fn
+    def drawn(first: int, second: int):
+        """The draw step of a family that draws a random polynomial, then
+        `_below(draw, first)` and `_below(draw, second)`: the two values,
+        then the polynomial's `_rand_terms`."""
+        def step(draw) -> list:
+            terms = _rand_terms(draw, n, nw)
+            a = _below(draw, first)
+            return [a, _below(draw, second)] + terms
+        return step
+
+    families: list[tuple[str, object, object]] = []
+
+    def fam(name, step):
+        def wrap(check):
+            families.append((name, step, check))
+            return check
         return wrap
 
-    @fam("idempotents")
-    def _idem(draw) -> str | None:
-        f = _rand_flat(draw, n, words)
-        i = word(draw)
-        j = word(draw)
+    @fam("idempotents", drawn(nw, nw))
+    def _idem(inputs) -> str | None:
+        f = flat(inputs)
+        i, j = words[inputs[0]], words[inputs[1]]
         if not check_equal([(1, (E(i), E(j)))], [(1, (E(i),))] if i == j else [], f):
             return f"e({i})e({j}) on {show(f)}"
         # e(w) keeps the keys of f on word w, so each content word that f
@@ -776,54 +831,49 @@ def relation_suite(
             return f"sum of idempotents on {show(f)}"
         return None
 
-    @fam("x-commute")
-    def _xcomm(draw) -> str | None:
-        f = _rand_flat(draw, n, words)
-        k = 1 + _below(draw, n)
-        l = 1 + _below(draw, n)
+    @fam("x-commute", drawn(n, n))
+    def _xcomm(inputs) -> str | None:
+        f = flat(inputs)
+        k, l = 1 + inputs[0], 1 + inputs[1]
         if not check_equal([(1, (X(k), X(l)))], [(1, (X(l), X(k)))], f):
             return f"x{k} x{l} on {show(f)}"
         return None
 
     if n >= 2:
 
-        @fam("label-exchange")
-        def _exchange(draw) -> str | None:
-            f = _rand_flat(draw, n, words)
-            r = 1 + _below(draw, n - 1)
-            i = word(draw)
+        @fam("label-exchange", drawn(n - 1, nw))
+        def _exchange(inputs) -> str | None:
+            f = flat(inputs)
+            r, i = 1 + inputs[0], words[inputs[1]]
             si = i[:r - 1] + (i[r], i[r - 1]) + i[r + 1:]
             if not check_equal([(1, (PSI(r), E(i)))], [(1, (E(si), PSI(r)))], f):
                 return f"psi{r} e({i}) exchange on {show(f)}"
             return None
 
-        @fam("mixed-left")
-        def _mixed_left(draw) -> str | None:
-            f = _rand_flat(draw, n, words)
-            r = 1 + _below(draw, n - 1)
-            i = word(draw)
+        @fam("mixed-left", drawn(n - 1, nw))
+        def _mixed_left(inputs) -> str | None:
+            f = flat(inputs)
+            r, i = 1 + inputs[0], words[inputs[1]]
             lhs = [(1, (PSI(r), X(r), E(i))), (-1, (X(r + 1), PSI(r), E(i)))]
             rhs = [(1, (E(i),))] if i[r - 1] == i[r] else []
             if not check_equal(lhs, rhs, f):
                 return f"(psi{r} x{r} - x{r + 1} psi{r}) e({i}) on {show(f)}"
             return None
 
-        @fam("mixed-right")
-        def _mixed_right(draw) -> str | None:
-            f = _rand_flat(draw, n, words)
-            r = 1 + _below(draw, n - 1)
-            i = word(draw)
+        @fam("mixed-right", drawn(n - 1, nw))
+        def _mixed_right(inputs) -> str | None:
+            f = flat(inputs)
+            r, i = 1 + inputs[0], words[inputs[1]]
             lhs = [(1, (X(r), PSI(r), E(i))), (-1, (PSI(r), X(r + 1), E(i)))]
             rhs = [(1, (E(i),))] if i[r - 1] == i[r] else []
             if not check_equal(lhs, rhs, f):
                 return f"(x{r} psi{r} - psi{r} x{r + 1}) e({i}) on {show(f)}"
             return None
 
-        @fam("psi-square")
-        def _square(draw) -> str | None:
-            f = _rand_flat(draw, n, words)
-            r = 1 + _below(draw, n - 1)
-            i = word(draw)
+        @fam("psi-square", drawn(n - 1, nw))
+        def _square(inputs) -> str | None:
+            f = flat(inputs)
+            r, i = 1 + inputs[0], words[inputs[1]]
             key = (i[r - 1], i[r], r)
             rhs = after_e(square_rhs, key, lambda: q_factor(Q, n, *key), i)
             if not check_equal([(1, (PSI(r), PSI(r), E(i)))], rhs, f):
@@ -832,23 +882,21 @@ def relation_suite(
 
     if n >= 3:
 
-        @fam("x-distant")
-        def _xdist(draw) -> str | None:
-            f = _rand_flat(draw, n, words)
-            r = 1 + _below(draw, n - 1)
-            # a choice among the n - 2 positions other than r, r + 1, in order
-            s = 1 + _below(draw, n - 2)
+        # s is a choice among the n - 2 positions other than r, r + 1, in order
+        @fam("x-distant", drawn(n - 1, n - 2))
+        def _xdist(inputs) -> str | None:
+            f = flat(inputs)
+            r, s = 1 + inputs[0], 1 + inputs[1]
             if s >= r:
                 s += 2
             if not check_equal([(1, (PSI(r), X(s)))], [(1, (X(s), PSI(r)))], f):
                 return f"psi{r} x{s} on {show(f)}"
             return None
 
-        @fam("braid")
-        def _braid(draw) -> str | None:
-            f = _rand_flat(draw, n, words)
-            r = 1 + _below(draw, n - 2)
-            i = word(draw)
+        @fam("braid", drawn(n - 2, nw))
+        def _braid(inputs) -> str | None:
+            f = flat(inputs)
+            r, i = 1 + inputs[0], words[inputs[1]]
             lhs = [
                 (1, (PSI(r), PSI(r + 1), PSI(r), E(i))),
                 (-1, (PSI(r + 1), PSI(r), PSI(r + 1), E(i))),
@@ -861,37 +909,62 @@ def relation_suite(
 
     if n >= 4:
 
-        @fam("psi-distant")
-        def _psidist(draw) -> str | None:
-            f = _rand_flat(draw, n, words)
-            r = 1 + _below(draw, n - 3)
-            s = r + 2 + _below(draw, n - r - 2)
+        def _psidist_draw(draw) -> list:
+            """r - 1, then s - r - 2 for an s in r + 2..n, then the terms."""
+            terms = _rand_terms(draw, n, nw)
+            r = _below(draw, n - 3)
+            return [r, _below(draw, n - r - 3)] + terms
+
+        @fam("psi-distant", _psidist_draw)
+        def _psidist(inputs) -> str | None:
+            f = flat(inputs)
+            r = 1 + inputs[0]
+            s = r + 2 + inputs[1]
             if not check_equal([(1, (PSI(r), PSI(s)))], [(1, (PSI(s), PSI(r)))], f):
                 return f"psi{r} psi{s} on {show(f)}"
             return None
 
-    @fam("degree-homogeneity")
-    def _homog(draw) -> str | None:
-        i = word(draw)
-        exps = tuple(_below(draw, 3) for _ in range(n))
-        f = {(i, exps): (1, 2, -1)[_below(draw, 3)]}
-        in_deg = 2 * sum(exps) + word_offset(Q, i)
-        gens: list[tuple] = [E(word(draw)), X(1 + _below(draw, n))]
+    def _homog_draw(draw) -> list:
+        """A word, exponents below 3, a coefficient and one generator, as
+        [word, coefficient, kind, argument, exponents...]: the generator
+        is a choice among e(word), x_k and, on two or more strands, psi_r,
+        each drawn first; kind indexes ("e", "x", "psi")."""
+        i = _below(draw, nw)
+        exps = [_below(draw, 3) for _ in range(n)]
+        c = _below(draw, 3)
+        args = [_below(draw, nw), 1 + _below(draw, n)]
         if n >= 2:
-            gens.append(PSI(1 + _below(draw, n - 1)))
-        atom = gens[_below(draw, len(gens))]
+            args.append(1 + _below(draw, n - 1))
+        kind = _below(draw, len(args))
+        return [i, c, kind, args[kind]] + exps
+
+    @fam("degree-homogeneity", _homog_draw)
+    def _homog(inputs) -> str | None:
+        i = words[inputs[0]]
+        exps = tuple(inputs[4:])
+        f = {(i, exps): (1, 2, -1)[inputs[1]]}
+        in_deg = 2 * sum(exps) + word_offset(Q, i)
+        kind, arg = ("e", "x", "psi")[inputs[2]], inputs[3]
+        atom = (kind, words[arg] if kind == "e" else arg)
         shift = atom_degree(Q, atom, i)
         degs = show(_apply_terms(Q, [(1, (atom,))], f)).offset_degrees(Q)
         if degs and degs != {in_deg + shift}:
             return f"{atom} on {show(f)}: degrees {sorted(degs)}, expected {in_deg + shift}"
         return None
 
+    if streams is None:
+        def inputs_of(key: str, step):
+            return step(functools.partial(Random(key).getrandbits, 32))
+    else:
+        def inputs_of(key: str, step):
+            return streams.inputs(key, n, nw, step)
+
     verdicts = []
-    for name, fn in families:
+    for name, step, check in families:
         failures = 0
         witness = None
         for t in range(trials):
-            w = fn(streams.draw(f"{seed}:{name}:{t}"))
+            w = check(inputs_of(f"{seed}:{name}:{t}", step))
             if w is not None:
                 failures += 1
                 if witness is None:

@@ -19,7 +19,6 @@ import itertools
 import re
 from dataclasses import dataclass
 
-from .linalg import rank_int
 from .quiver import DimVector, Quiver
 
 
@@ -250,41 +249,6 @@ def aut_series_exponents(M: Multisegment) -> list[int]:
     """
     counts = [len(list(g)) for _, g in itertools.groupby(M.segments)]
     return sorted(counts, reverse=True)
-
-
-def intertwiner_dim(Q: Quiver, A: Segment, B: Segment) -> int:
-    """Brute-force dim Hom(E(A), E(B)) via the intertwiner linear system.
-
-    Materializes both segments with their shift bases, writes the unknown
-    map as one scalar per (source position, target position) pair at equal
-    vertices, imposes commutation with every arrow, and returns the
-    dimension of the solution space.  Independent of hom_dim.
-    """
-    sa = A.support(Q)
-    sb = B.support(Q)
-    # unknowns: phi[p][q] = coefficient of target basis vector q in the
-    # image of source basis vector p; nonzero only at matching vertices
-    unknowns = [
-        (p, q) for p in range(A.length) for q in range(B.length) if sa[p] == sb[q]
-    ]
-    index = {u: k for k, u in enumerate(unknowns)}
-    rows: list[list[int]] = []
-    # the arrow action shifts position p to p+1 and kills the socle; the
-    # intertwiner condition phi(rho(e_p)) = rho(phi(e_p)) is compared
-    # coefficientwise on the target basis.  Conditions at a vertex with no
-    # outgoing arrow (linear quiver, last vertex) are vacuous because no
-    # matching positions exist there.
-    for p in range(A.length):
-        for qq in range(B.length):
-            coeffs = [0] * len(unknowns)
-            if p + 1 < A.length and sa[p + 1] == sb[qq]:
-                coeffs[index[(p + 1, qq)]] += 1
-            if qq >= 1 and sa[p] == sb[qq - 1]:
-                coeffs[index[(p, qq - 1)]] -= 1
-            if any(coeffs):
-                rows.append(coeffs)
-    rank = rank_int(rows, len(unknowns))
-    return len(unknowns) - rank
 
 
 def semisimple_class(Q: Quiver, d: DimVector) -> Multisegment:

@@ -25,8 +25,10 @@ import time
 
 from quiverchow import cli
 from quiverchow.klrpoly import smash_center_dims
-from quiverchow.nilrep import Segment, enumerate_nilreps, hom_dim, intertwiner_dim
+from quiverchow.nilrep import Segment, enumerate_nilreps, hom_dim
 from quiverchow.quiver import DimVector, parse_quiver
+
+from test_nilrep import intertwiner_dim
 
 
 def _run_sweep(name: str, cases, budget: float) -> list[str]:

@@ -833,11 +833,11 @@ def test_relations_fold_inputs_do_not_depend_on_threads(monkeypatch, capsys):
     for threads in ("1", "2"):
         folds.clear()
         code, _ = run_cli(capsys, "suite", "relations", "--trials", "10",
-                          "--max-total", "3", "--threads", threads)
+                          "--max-total", "4", "--threads", threads)
         assert code == 0
         runs.append({case: h.hexdigest() for case, h in folds.items()})
     assert runs[0] == runs[1]
-    assert len(runs[0]) == len(cli.relations_cases(3, 10, 0))
+    assert len(runs[0]) == len(cli.relations_cases(4, 10, 0))
 
 
 def test_paving_oracle_cases_share_one_composition_list_per_d(monkeypatch):

@@ -31,7 +31,6 @@ from quiverchow.extalg import (
     compare_block,
     gdim_alg_klr,
     gdim_geo,
-    gdim_schur_table,
     springer_smash_gdim,
 )
 from quiverchow.nilrep import aut_series_exponents, enumerate_nilreps, orbit_dim
@@ -124,24 +123,28 @@ def test_springer_smash_gdim_values():
     assert first_discrepancy(s, bgl(1, 10).pow(2).scale(2)) is None
 
 
+def _all_comps_table(Q, d, N) -> dict:
+    """The geometric series of every pair of compositions of d, complete
+    or not, as `gdim-table --all-comps` forms them: one `Strata` for all."""
+    comps = enumerate_compositions(d)
+    strata = Strata(Q, d)
+    return {f"{ci}|{cj}": gdim_geo(Q, d, ci, cj, N, strata) for ci in comps for cj in comps}
+
+
 def test_schur_table_single_vertex_rank_two():
-    tab = gdim_schur_table(A1, DimVector((2,)), 12)
-    keys = {str(k) for k in tab}
-    assert keys == {"1;1|1;1", "1;1|2", "2|1;1", "2|2"}
-    whole = next(v for k, v in tab.items() if str(k) == "2|2")
-    assert first_discrepancy(whole, bgl(2, 12)) is None
-    # the complete block reproduces gdim_geo
+    tab = _all_comps_table(A1, DimVector((2,)), 12)
+    assert set(tab) == {"1;1|1;1", "1;1|2", "2|1;1", "2|2"}
+    assert first_discrepancy(tab["2|2"], bgl(2, 12)) is None
+    # the complete block on a table's strata is the block on its own
     c = parse_composition("1;1", 1)
-    complete = next(v for k, v in tab.items() if str(k) == "1;1|1;1")
-    assert first_discrepancy(complete, gdim_geo(A1, DimVector((2,)), c, c, 12)) is None
+    complete = gdim_geo(A1, DimVector((2,)), c, c, 12)
+    assert first_discrepancy(tab["1;1|1;1"], complete) is None
 
 
 def test_schur_table_zero_dimension_vector():
-    tab = gdim_schur_table(A2, DimVector((0, 0)), 8)
-    assert len(tab) == 1
-    ((key, series),) = tab.items()
-    assert str(key) == "|"
-    assert first_discrepancy(series, HalfLaurentSeries.one().truncate(8)) is None
+    tab = _all_comps_table(A2, DimVector((0, 0)), 8)
+    assert list(tab) == ["|"]
+    assert first_discrepancy(tab["|"], HalfLaurentSeries.one().truncate(8)) is None
 
 
 def test_transpose_symmetry_of_geometric_blocks():

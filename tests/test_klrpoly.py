@@ -310,8 +310,9 @@ def test_flat_draws_are_the_pinned_inputs():
             for name in families:
                 for t in range(8):
                     rng = random.Random(f"{seed}:{name}:{t}")
-                    flat = klrpoly._rand_flat(functools.partial(rng.getrandbits, 32),
-                                              sum(d), words)
+                    terms = klrpoly._rand_terms(functools.partial(rng.getrandbits, 32),
+                                                sum(d), len(words))
+                    flat = klrpoly._flat_of(terms, 0, sum(d), words)
                     h.update(repr((sorted(flat.items()), rng.getstate())).encode())
     assert h.hexdigest() == _DRAW_DIGEST
 
@@ -323,47 +324,30 @@ _TRIAL_STATE_DIGEST = "dff70ca5adf9a46feff98635baf504c241dcc46008a167c9b7b67ff39
 _TRIAL_INPUT_DIGEST = "4b571767fa76e3d9d35d992979987bdf45de3a292dc03353302ad69342d29342"
 
 
-def _count_words(monkeypatch):
-    """Records [key, words read] for every trial draw function the
-    `TrialStreams` stores hand out, in the order they hand them out."""
-    read = []
-    real_draw = klrpoly.TrialStreams.draw
-
-    def counted(self, key):
-        draw = real_draw(self, key)
-        record = [key, 0]
-        read.append(record)
-
-        def next_word():
-            record[1] += 1
-            return draw()
-        return next_word
-
-    monkeypatch.setattr(klrpoly.TrialStreams, "draw", counted)
-    return read
-
-
 def test_every_trial_ends_in_the_pinned_generator_state(monkeypatch):
-    # a trial that read c words of its key's stream ends where Random(key)
-    # ends after c calls of getrandbits(32)
+    # without a store, each trial draws from its own Random(key); the
+    # digest is over each key and its generator's state when the suite ends
     h = hashlib.sha256()
     h_in = hashlib.sha256()
     real_apply = klrpoly._apply_terms
+    made = []
+
+    class Recorded(random.Random):
+        def __init__(self, key):
+            super().__init__(key)
+            made.append((key, self))
 
     def recorded(Q, terms, flat):
         h_in.update(repr((terms, sorted(flat.items()))).encode())
         return real_apply(Q, terms, flat)
 
-    read = _count_words(monkeypatch)
+    monkeypatch.setattr(klrpoly, "Random", Recorded)
     monkeypatch.setattr(klrpoly, "_apply_terms", recorded)
     for spec, d in (("A2", (1, 1)), ("A3", (1, 2, 1)), ("cyclic:2", (2, 1)),
                     ("cyclic:3", (1, 1, 2))):
         for seed in (0, 1):
             assert relation_suite(parse_quiver(spec), DimVector(d), trials=10, seed=seed).ok
-    for key, count in read:
-        rng = random.Random(key)
-        for _ in range(count):
-            rng.getrandbits(32)
+    for key, rng in made:
         h.update(repr(key).encode())
         h.update(repr(rng.getstate()).encode())
     assert h.hexdigest() == _TRIAL_STATE_DIGEST
@@ -386,7 +370,7 @@ def test_raw_bit_draws_equal_the_random_module():
         for pool in pools:
             assert a.choice(pool) == pool[below(draw, len(pool))]
             for k in range(min(len(pool), 2) + 1):
-                assert a.sample(pool, k) == sample(draw, pool, k)
+                assert a.sample(pool, k) == sample(draw, len(pool), k)
         assert a.getstate() == b.getstate()
 
 
@@ -418,7 +402,7 @@ def test_a_stream_past_its_first_prefix_is_the_generator_sequence():
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(klrpoly.TrialStreams, "draw", recorded)
-        assert relation_suite(Q, d, trials=20, seed=3).ok
+        assert relation_suite(Q, d, trials=20, seed=3, streams=klrpoly.TrialStreams()).ok
     assert max(len(words) for _, words in read) > klrpoly._FIRST_WORDS
     for key, words in read:
         rng = random.Random(key)
@@ -475,6 +459,51 @@ def test_threads_sharing_a_store_read_the_generator_sequence():
     assert {length for _, length in read} == set(lengths)
 
 
+def test_threads_sharing_a_store_draw_one_input_per_shape():
+    # more threads than cores, switching often, ask for the inputs of
+    # shared keys on shared shapes; each gets what a draw straight from
+    # Random(key) gives, whichever thread stored it
+    keys = [f"0:x-commute:{t}" for t in range(30)]
+    shapes = ((1, 1), (3, 6), (4, 12), (4, 300))
+
+    def step_for(n, nw):
+        def step(draw):
+            return [klrpoly._below(draw, n)] + klrpoly._rand_terms(draw, n, nw)
+        return step
+
+    want = {
+        (key, n, nw): step_for(n, nw)(functools.partial(random.Random(key).getrandbits, 32))
+        for key in keys for n, nw in shapes
+    }
+    streams = klrpoly.TrialStreams()
+    wrong = []
+
+    def reader(offset):
+        for i in range(4 * len(keys)):
+            key = keys[(i + offset) % len(keys)]
+            n, nw = shapes[(i // len(keys) + offset) % len(shapes)]
+            if list(streams.inputs(key, n, nw, step_for(n, nw))) != want[key, n, nw]:
+                wrong.append((key, n, nw))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=reader, args=(k,)) for k in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []
+    assert {shape: set(entries) for shape, entries in streams._inputs.items()} == {
+        shape: set(keys) for shape in shapes
+    }
+    # past 256 words an index needs more than one byte
+    assert {type(entry) for entry in streams._inputs[4, 300].values()} == {tuple}
+
+
 def _fold_inputs(monkeypatch, cases) -> list:
     """The fold inputs of every case, run in order, as one digest each."""
     inputs: dict = {}
@@ -495,16 +524,67 @@ def _fold_inputs(monkeypatch, cases) -> list:
 
 
 def test_a_shared_store_draws_what_a_fresh_store_draws(monkeypatch):
-    # the sweep's one store against a fresh store per relation_suite call
+    # the sweep's one store against calls without a store, which draw each
+    # trial from its own Random(key); at total 4 every one of the 10 shapes
+    # (n, nw) is read back by cases on other quivers
     from quiverchow import cli
 
     for seed in (0, 7):
-        shared = _fold_inputs(monkeypatch, cli.relations_cases(3, 10, seed))
+        shared = _fold_inputs(monkeypatch, cli.relations_cases(4, 10, seed))
         monkeypatch.setattr(cli, "TrialStreams", lambda: None)
-        fresh = _fold_inputs(monkeypatch, cli.relations_cases(3, 10, seed))
+        fresh = _fold_inputs(monkeypatch, cli.relations_cases(4, 10, seed))
         monkeypatch.undo()
         assert shared == fresh
-        assert len(shared) == len(cli.relations_cases(3, 10, seed))
+        assert len(shared) == len(cli.relations_cases(4, 10, seed))
+
+
+def test_a_sweep_draws_each_input_once_per_shape(monkeypatch):
+    # the 104 cases at total 4 ask for 8,660 trial inputs on 10 shapes
+    # (n, nw); each (key, n, nw) is drawn once, 84 (shape, family) pairs
+    # of 10 trials, and every other ask reads the stored input back
+    from quiverchow import cli
+
+    asked, drawn = [], []
+    real_inputs = klrpoly.TrialStreams.inputs
+
+    def counted(self, key, n, nw, step):
+        asked.append(key)
+
+        def counted_step(draw):
+            drawn.append((key, n, nw))
+            return step(draw)
+        return real_inputs(self, key, n, nw, counted_step)
+
+    monkeypatch.setattr(klrpoly.TrialStreams, "inputs", counted)
+    cases = cli.relations_cases(4, 10, 0)
+    assert all(check()[0] for _, check in cases)
+    assert len(drawn) == len(set(drawn)) == 840
+    assert len({(n, nw) for _, n, nw in drawn}) == 10
+    assert len(asked) == 8660
+
+
+def test_a_sweep_store_holds_its_inputs_in_256_kib(monkeypatch):
+    # the index-level inputs of a 25-trial sweep at total 4: one bytes
+    # entry per (key, n, nw) in one dict per shape (their key strings are
+    # the word streams' keys)
+    from quiverchow import cli
+
+    made = []
+
+    def recorded():
+        made.append(klrpoly.TrialStreams())
+        return made[-1]
+
+    monkeypatch.setattr(cli, "TrialStreams", recorded)
+    assert all(check()[0] for _, check in cli.relations_cases(4, 25, 0))
+    (store,) = made
+    shapes = store._inputs.values()
+    assert sum(len(shape) for shape in shapes) == 2100
+    assert all(type(entry) is bytes for shape in shapes for entry in shape.values())
+    held = sys.getsizeof(store._inputs) + sum(
+        sys.getsizeof(shape) + sum(map(sys.getsizeof, shape.values())) for shape in shapes
+    )
+    assert held <= 256 * 1024
 
 
 def test_relation_suite_catches_a_flipped_arrow_factor(monkeypatch):

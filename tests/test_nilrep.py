@@ -6,8 +6,8 @@ isomorphism classes are multisegments.  On the loop quiver this is
 Jordan theory: multisegments of total dimension $d$ are partitions of
 $d$, and $\\hom(E(0,l), E(0,m)) = \\min(l,m)$.
 
-The closed-form hom_dim is checked against intertwiner_dim, which
-ranks the actual linear system $X N_A = N_B X$ cell by cell and does
+The closed-form hom_dim is checked against intertwiner_dim, a
+test-only reference kept here, which ranks the actual linear system $X N_A = N_B X$ cell by cell and does
 not share any code path with the formula.
 """
 
@@ -18,23 +18,58 @@ import random
 import pytest
 
 from quiverchow import nilrep
+from quiverchow.linalg import rank_int
 from quiverchow.nilrep import (
     Multisegment,
     Segment,
     aut_series_exponents,
     enumerate_nilreps,
     hom_dim,
-    intertwiner_dim,
     orbit_dim,
     parse_multisegment,
     quotient_by_socles,
     semisimple_class,
     socle_basis,
 )
-from quiverchow.quiver import DimVector, dim_qvariety, parse_quiver
+from quiverchow.quiver import DimVector, Quiver, dim_qvariety, parse_quiver
 
 
 LOOP = parse_quiver("cyclic:1")
+
+
+def intertwiner_dim(Q: Quiver, A: Segment, B: Segment) -> int:
+    """Brute-force dim Hom(E(A), E(B)) via the intertwiner linear system.
+
+    Materializes both segments with their shift bases, writes the unknown
+    map as one scalar per (source position, target position) pair at equal
+    vertices, imposes commutation with every arrow, and returns the
+    dimension of the solution space.  Independent of hom_dim.
+    """
+    sa = A.support(Q)
+    sb = B.support(Q)
+    # unknowns: phi[p][q] = coefficient of target basis vector q in the
+    # image of source basis vector p; nonzero only at matching vertices
+    unknowns = [
+        (p, q) for p in range(A.length) for q in range(B.length) if sa[p] == sb[q]
+    ]
+    index = {u: k for k, u in enumerate(unknowns)}
+    rows: list[list[int]] = []
+    # the arrow action shifts position p to p+1 and kills the socle; the
+    # intertwiner condition phi(rho(e_p)) = rho(phi(e_p)) is compared
+    # coefficientwise on the target basis.  Conditions at a vertex with no
+    # outgoing arrow (linear quiver, last vertex) are vacuous because no
+    # matching positions exist there.
+    for p in range(A.length):
+        for qq in range(B.length):
+            coeffs = [0] * len(unknowns)
+            if p + 1 < A.length and sa[p + 1] == sb[qq]:
+                coeffs[index[(p + 1, qq)]] += 1
+            if qq >= 1 and sa[p] == sb[qq - 1]:
+                coeffs[index[(p, qq - 1)]] -= 1
+            if any(coeffs):
+                rows.append(coeffs)
+    rank = rank_int(rows, len(unknowns))
+    return len(unknowns) - rank
 
 
 def partitions_count(n: int) -> int:
