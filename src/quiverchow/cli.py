@@ -506,8 +506,10 @@ def cmd_gdim_table(args) -> tuple[int, str]:
         return gdim_geo(Q, d, ci, cj, N, strata)
 
     series_list = _fan_out(one, pairs, args.threads)
+    # equal blocks are one shared series: each distinct one becomes JSON once
+    as_json = {s: _series_json(s) for s in set(series_list)}
     blocks = [
-        {"i": ni, "j": nj, "series": _series_json(s)}
+        {"i": ni, "j": nj, "series": as_json[s]}
         for ((ni, _), (nj, _)), s in zip(pairs, series_list)
     ]
     if args.format == "table":

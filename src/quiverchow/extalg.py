@@ -32,8 +32,13 @@ of W bits per power of t.  A block is then one integer product per
 stratum, summed, and one decode of the slots.  Every slot is a
 non-negative integer and carries only move upward, so a W from an exact
 bound on the decoded coefficients (`Strata.width`) reads every one of them
-exactly.  The object lives as long as the caller holds it (one table, one
-suite case); nothing is cached at module level.
+exactly.  The decode reads only the summed integer, the lowest power of t
+of the target's pack (`lo`) and the truncation N (W and the complete flag
+dimension h are fixed per object and N), so `Strata` also keeps one
+decoded series per (sum, lo, N): the many blocks with equal stalk rows
+(the 1,936 blocks of the A3 (1,2,1) table take 27 sums) decode once and
+share one immutable series.  The object lives as long as the caller holds
+it (one table, one suite case); nothing is cached at module level.
 """
 
 from __future__ import annotations
@@ -125,8 +130,13 @@ class Strata:
     paving cell counts of c in every stratum (no counts where the variety
     is empty); it checks once that c refines d and keeps the row.
     `pack(c, N)` gives the two factors of c in `gdim_geo` to u^N,
-    each stratum's as one integer.  Filling the same entry twice stores the
-    same value, so blocks may read one object from several threads.
+    each stratum's as one integer.  `decode(total, lo, N)` gives the
+    series of a block whose packed sum is `total` and whose target pack
+    starts at t^lo: with h and `width(N)` fixed, those three determine it,
+    so equal blocks decode once and share one immutable series.  Filling
+    the same entry twice stores the same value, so blocks may read one
+    object from several threads: two threads may both decode one key, and
+    either stored copy is the same series.
 
     `h`, the dimension of the complete flag variety of d, bounds every
     cell dimension: a flag of any type lies in a partial flag variety of d.
@@ -141,6 +151,7 @@ class Strata:
         self._rows: dict[Composition, tuple[int, tuple[tuple[tuple[int, int], ...], ...]]] = {}
         self._widths: dict[int, int] = {}
         self._packs: dict[tuple[Composition, int], tuple[int, tuple[int, ...], tuple[int, ...]]] = {}
+        self._series: dict[tuple[int, int, int], HalfLaurentSeries] = {}
 
     @functools.cached_property
     def reps(self):
@@ -230,12 +241,25 @@ class Strata:
             hit = self._packs[key] = (lo, left, tuple(right))
         return hit
 
+    def decode(self, total: int, lo: int, N: int) -> HalfLaurentSeries:
+        """The series of a packed block sum `total` whose right factor
+        starts at t^lo, to u^N: slot s is the coefficient of
+        u^(2 (lo - h) + 2s).  `_unpack` reads nothing else, so one series
+        serves every block with this (total, lo, N)."""
+        key = (total, lo, N)
+        hit = self._series.get(key)
+        if hit is None:
+            hit = self._series[key] = _unpack(total, self.width(N), 2 * (lo - self.h), N)
+        return hit
+
 
 def _strata_for(Q: Quiver, d: DimVector, strata: Strata | None) -> Strata:
     """`strata` once it is checked to be of (Q, d); fresh strata when None."""
     if strata is None:
         return Strata(Q, d)
-    if strata.Q != Q or strata.d != d:
+    # tuples compare items by identity first, so the caller's own Q and d
+    # (every block of a table) cost no field-by-field comparison
+    if (strata.Q, strata.d) != (Q, d):
         raise ValueError(f"strata of {strata.Q} {strata.d} given for {Q} {d}")
     return strata
 
@@ -257,19 +281,23 @@ def gdim_geo(
     of p̄_i(M) p̄_j(M) H_M in the stalk vectors p_c(M) = u^(orbit_dim(M)
     - D_c) P_c(M)(u^-2)).  `Strata.pack` holds both factors of every
     composition, each stratum's as one integer with a slot per power of t,
-    so the sum is one integer product per stratum and one decode.
+    so the sum is one integer product per stratum and one decode.  The
+    decode is `Strata.decode`, kept per (sum, lo, N): blocks with the same
+    sum and the same `lo` of j are the same series, so they decode once
+    and return one shared immutable object.
 
     Every slot of the sum is a non-negative integer, so carries only move
     upward, and `Strata.width` bounds every coefficient up to u^N, so those
     slots decode exactly.  R_j is exact to t^(N//2 + h) and no cell of i is
     above h, so each of them is complete.  `strata` holds the strata of
-    (Q, d) across calls; a fresh one is built when it is absent.
+    (Q, d), the packs and the decoded series across calls, for as long as
+    the caller keeps it; a fresh one is built when it is absent.  Threads
+    sharing it may both decode one block, and either stored copy is equal.
     """
     strata = _strata_for(Q, d, strata)
     left = strata.pack(i, N)[1]
     lo, _, right = strata.pack(j, N)
-    total = sum(map(mul, left, right))
-    return _unpack(total, strata.width(N), 2 * (lo - strata.h), N)
+    return strata.decode(sum(map(mul, left, right)), lo, N)
 
 
 def gdim_alg_klr(

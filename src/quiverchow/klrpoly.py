@@ -571,11 +571,13 @@ def check_suite_size(Q: Quiver, d: DimVector) -> None:
 
 
 # the words a key's first draw stores.  A trial reads about 6 words per
-# strand: at most 62 on 6 strands, and at most 122 on the 12 strands of
-# A3 (4,4,4) at seed 0, where a first prefix of 64 words grew in 58 of 100
-# trials.  Reading past the prefix costs a second seeding; filling 128
-# words instead of 64 costs a small fraction of one.
-_FIRST_WORDS = 128
+# strand, and the stores that exist are the relations sweeps' (total at
+# most 4; a single `relation_suite` call draws without one): the most any
+# trial of `relations_cases(4, trials, s)` read was 45-56 words over s =
+# 0-9 at 25 trials and 51-56 over s = 0-2 at 100.  So 64 words serve every
+# such trial with one seeding, and a larger call that reads past them
+# seeds again for a prefix twice as long.
+_FIRST_WORDS = 64
 
 
 class TrialStreams:

@@ -107,6 +107,45 @@ def test_gdim_table_threads_do_not_change_bytes(capsys):
             assert hashlib.sha256(outs[0].encode()).hexdigest()[:16] == digest
 
 
+def test_gdim_table_formats_and_shapes_bytes_are_pinned(capsys):
+    # equal blocks share one series and one JSON dict in the document; the
+    # text table, another truncation, a complete-word table and a cyclic
+    # table keep the bytes they had with a dict per block, on one and two
+    # threads
+    for argv, digest in (
+        (["--quiver", "A3", "--dim", "1,2,1", "--all-comps", "--format", "table"],
+         "847e9c1018f32486"),
+        (["--quiver", "A3", "--dim", "1,2,1", "--all-comps", "--trunc", "6"], "97b88044acbd3929"),
+        (["--quiver", "A3", "--dim", "2,2,2"], "e6ddac751ce0fb6c"),
+        (["--quiver", "cyclic:2", "--dim", "2,2", "--all-comps"], "e698b6302338b020"),
+    ):
+        for t in ("1", "2"):
+            code, out = run_cli(capsys, "gdim-table", *argv, "--threads", t)
+            assert code == 0, argv
+            assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest, (argv, t)
+
+
+def test_gdim_table_calls_gdim_geo_once_per_block(capsys, monkeypatch):
+    # equal blocks share their decode inside `Strata`, not by skipping
+    # calls: each block is still one `gdim_geo` call, on either thread count
+    real = cli.gdim_geo
+    calls = []
+
+    def counted(Q, d, ci, cj, *rest):
+        calls.append((str(ci), str(cj)))
+        return real(Q, d, ci, cj, *rest)
+
+    monkeypatch.setattr(cli, "gdim_geo", counted)
+    for t in ("1", "2"):
+        calls.clear()
+        code, out = run_cli(capsys, "gdim-table", "--quiver", "A3", "--dim", "1,2,1",
+                            "--all-comps", "--threads", t)
+        assert code == 0
+        blocks = [(b["i"], b["j"]) for b in json.loads(out)["blocks"]]
+        assert len(blocks) == 1936
+        assert sorted(calls) == sorted(blocks)
+
+
 def test_gdim_command_set_bytes_are_pinned(capsys):
     # the benchmark's other two gdim parts, with their recorded bytes
     word = ",".join("0" * 7)

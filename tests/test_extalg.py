@@ -210,12 +210,15 @@ def test_strata_fill_orbit_data_only_where_a_block_reaches():
 
 def test_one_strata_object_serves_many_threads():
     # more threads than cores fill and read one Strata, with a short switch
-    # interval; every block equals its value from a fresh object
+    # interval; every block equals its value from a fresh object, and the
+    # decoded series are those one thread stores
     Q = parse_quiver("cyclic:2")
     d = DimVector((2, 1))
     comps = enumerate_compositions(d)
     pairs = [(ci, cj) for ci in comps for cj in comps]
     want = [gdim_geo(Q, d, ci, cj, 12) for ci, cj in pairs]
+    one = Strata(Q, d)
+    assert [gdim_geo(Q, d, ci, cj, 12, one) for ci, cj in pairs] == want
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -227,6 +230,7 @@ def test_one_strata_object_serves_many_threads():
                 ))
             assert got == want
             assert len(strata._rows) == len(comps)
+            assert strata._series == one._series
     finally:
         sys.setswitchinterval(old)
 
@@ -365,6 +369,7 @@ def test_directly_built_series_are_canonical(monkeypatch):
 
     make = HalfLaurentSeries._canonical
     producers: dict[str, int] = {}
+    decoded = []
 
     def checked(coeffs, trunc):
         s = make(coeffs, trunc)
@@ -373,21 +378,101 @@ def test_directly_built_series_are_canonical(monkeypatch):
         assert all(type(e) is int and type(c) is int for e, c in s.coeffs), s.coeffs
         caller = sys._getframe(1).f_code.co_name
         producers[caller] = producers.get(caller, 0) + 1
+        if caller == "_unpack":
+            decoded.append(s)
         return s
 
     monkeypatch.setattr(HalfLaurentSeries, "_canonical", staticmethod(checked))
     Q = parse_quiver("A3")
     d = DimVector((1, 2, 1))
     comps = enumerate_compositions(d)
+    kept = []
     for N in (-1, 0, 1, 7, 24):
         strata = Strata(Q, d)
         for ci in comps:
             for cj in comps:
-                gdim_geo(Q, d, ci, cj, N, strata)
+                kept.append(gdim_geo(Q, d, ci, cj, N, strata))
         for name, check in klr_match_cases(N):
             assert check()[0], (name, N)
     assert set(producers) == {"_unpack", "gdim_alg_klr", "truncate", "shifted"}
-    assert producers["_unpack"] >= 5 * len(comps) ** 2
+    # each table block is a series that was checked as it was decoded (both
+    # lists keep their series alive, so no id is reused); equal packed
+    # blocks decode once
+    assert len(kept) == 5 * len(comps) ** 2
+    decoded_ids = set(map(id, decoded))
+    assert all(id(s) in decoded_ids for s in kept)
+    assert producers["_unpack"] == 652
+
+
+def test_equal_packed_blocks_decode_once_to_one_series(monkeypatch):
+    # the benchmark table: 1,936 blocks, 27 distinct (sum, lo) keys, so 27
+    # decodes; blocks with one key are one object
+    import quiverchow.extalg as extalg
+
+    decodes = []
+    real_unpack = extalg._unpack
+
+    def counted(*args):
+        decodes.append(args)
+        return real_unpack(*args)
+
+    monkeypatch.setattr(extalg, "_unpack", counted)
+    Q = parse_quiver("A3")
+    d = DimVector((1, 2, 1))
+    comps = enumerate_compositions(d)
+    strata = Strata(Q, d)
+    by_key: dict[tuple[int, int], list[HalfLaurentSeries]] = {}
+    for ci in comps:
+        for cj in comps:
+            s = gdim_geo(Q, d, ci, cj, strata=strata)
+            lo, _, right = strata.pack(cj, 24)
+            total = sum(a * b for a, b in zip(strata.pack(ci, 24)[1], right))
+            by_key.setdefault((total, lo), []).append(s)
+    assert len(comps) ** 2 == 1936
+    assert len(decodes) == len(by_key) == 27
+    assert all(all(s is group[0] for s in group) for group in by_key.values())
+    # sums that differ only above u^24 decode to equal series
+    assert len({group[0] for group in by_key.values()}) == 17
+    # a second pass decodes nothing
+    for ci in comps:
+        gdim_geo(Q, d, ci, comps[0], strata=strata)
+    assert len(decodes) == 27
+
+
+@pytest.mark.parametrize("spec,dims", [("A2", (2, 2)), ("cyclic:2", (2, 1)), ("cyclic:1", (3,))])
+def test_a_reused_strata_gives_what_fresh_strata_give(spec, dims):
+    # one Strata across two truncations against a fresh Strata per block
+    Q = parse_quiver(spec)
+    d = DimVector(dims)
+    comps = enumerate_compositions(d)
+    strata = Strata(Q, d)
+    for N in (6, 24):
+        for ci in comps:
+            for cj in comps:
+                want = gdim_geo(Q, d, ci, cj, N, Strata(Q, d))
+                assert gdim_geo(Q, d, ci, cj, N, strata) == want, (str(ci), str(cj), N)
+
+
+def test_one_sum_at_another_lo_or_truncation_decodes_again(monkeypatch):
+    # no real table has two blocks with one packed sum and different lo, so
+    # the packs are stubbed: j starts three powers of t above i, with the
+    # same factors, and every truncation reads the same sum
+    Q = parse_quiver("A1")
+    d = DimVector((2,))
+    ci, cj = enumerate_compositions(d)
+    W = 8
+    left = (1 | 2 << W,)
+    right = (3 | 1 << W | 5 << 3 * W,)
+    monkeypatch.setattr(Strata, "width", lambda self, N: W)
+    monkeypatch.setattr(Strata, "pack", lambda self, c, N: ({ci: 0, cj: 3}[c], left, right))
+    strata = Strata(Q, d)
+    for N in (6, 24):
+        base = gdim_geo(Q, d, ci, ci, N, strata)
+        assert base == gdim_geo(Q, d, ci, ci, N, Strata(Q, d))
+        assert base.trunc == N and base.coeffs[-1][0] == 8 - 2 * strata.h
+        up = gdim_geo(Q, d, ci, cj, N, strata)
+        assert up == gdim_geo(Q, d, ci, cj, N, Strata(Q, d))
+        assert up == base.shifted(6, N)
 
 
 def test_compare_block_converts_each_word_once(monkeypatch):

@@ -587,6 +587,25 @@ def test_a_sweep_store_holds_its_inputs_in_256_kib(monkeypatch):
     assert held <= 256 * 1024
 
 
+@pytest.mark.parametrize("seed", [0, 1])
+def test_a_sweep_reads_no_stream_past_its_first_prefix(monkeypatch, seed):
+    # no trial of a 25-trial sweep at total 4 reads more than
+    # `_FIRST_WORDS` words, so each key is seeded once
+    from quiverchow import cli
+
+    made = []
+
+    def recorded():
+        made.append(klrpoly.TrialStreams())
+        return made[-1]
+
+    monkeypatch.setattr(cli, "TrialStreams", recorded)
+    assert all(check()[0] for _, check in cli.relations_cases(4, 25, seed))
+    (store,) = made
+    assert len(store._words) == 250
+    assert {len(words) for words in store._words.values()} == {klrpoly._FIRST_WORDS}
+
+
 def test_relation_suite_catches_a_flipped_arrow_factor(monkeypatch):
     # the wrong convention: (x_{r+1} - x_r) per arrow instead of (x_r - x_{r+1})
     real_act = klrpoly._act
