@@ -8,12 +8,15 @@ and units, a zero test, homogeneity checking, and a degree-zero
 invertibility test.  Three handles ship: the nil Hecke and quiver Hecke
 algebras (elements act on labeled polynomials; equality is decided exactly
 on the n! Artin monomials under each idempotent, a basis of the polynomial
-representation over the central symmetric polynomials) and the smash
+representation over the central symmetric polynomials, all held in one
+input-tagged map that a decision folds an element through once) and the smash
 product of a polynomial ring with a symmetric group (exact arithmetic,
 invertibility by a linear solve on the group algebra's regular
 representation).  Every shipped handle decides equality exactly, and
 keeps its costly decisions in a memo keyed on the element's value, so a
-minimization that scans the same entry again decides it once.
+minimization that scans the same entry again decides it once.  Validation
+builds no element it only throws away: a composite entry that no middle
+generator reaches is zero without a test.
 
 The operations are the desk-scale shadow of the weight-structure toolkit:
 cohomological shift and internal twist, mapping cones, stupid (weight)
@@ -36,9 +39,9 @@ from math import factorial
 
 from .klrpoly import (
     KLROperator,
-    LabeledPoly,
     Poly,
     SmashElement,
+    _apply_terms,
     _checked_index,
     identity_perm,
     monomials_of_degree,
@@ -172,11 +175,27 @@ class AlgebraHandle:
         basis = self.block_basis(frm, to, degree)
         if not basis:
             return None
-        out = self.zero()
+        out = None
         for _ in range(rng.randint(1, 2)):
             coeff = rng.choice([-2, -1, 1, 2, 3])
-            out = out + rng.choice(basis).scale(coeff)
+            term = rng.choice(basis).scale(coeff)
+            out = term if out is None else out + term
         return out
+
+
+class _ArtinTag:
+    """The last exponent coordinate of one Artin input x^a e(i) in a
+    `KLRHandle` fold: it names the input by its word i and graded degree
+    2|a| + word_offset(i).  No generator reads past strand n, so the tag
+    rides along unchanged and results of different inputs never merge.  It
+    is not a number: an atom that did reach it (say x_{n+1}, which no
+    constructor emits) raises instead of moving a key to another input."""
+
+    __slots__ = ("word", "degree")
+
+    def __init__(self, word: tuple[int, ...], degree: int):
+        self.word = word
+        self.degree = degree
 
 
 class KLRHandle(AlgebraHandle):
@@ -188,10 +207,13 @@ class KLRHandle(AlgebraHandle):
     symmetric polynomials on the Artin monomials x^a with a_k <= k - 1, so
     an element is zero exactly when it kills x^a e(i) for every Artin
     exponent a and idempotent i: n! inputs per idempotent, and equality,
-    homogeneity and degree-zero inversion are exact decisions.  Each of
-    them, and each block basis, is memoised per handle on the element's
-    value and the other arguments (`_memoised`), so minimizing a complex
-    decides a repeated entry once.
+    homogeneity and degree-zero inversion are exact decisions.  The handle
+    holds every input in one flat map, each key closed by an `_ArtinTag`,
+    so a decision folds an element's terms once over all inputs
+    (`klrpoly._apply_terms`).  Each decision, each block basis and each
+    unit is memoised per handle on the element's value and the other
+    arguments (`_memoised`), so minimizing a complex decides a repeated
+    entry once.
     """
 
     def __init__(self, Q: Quiver, d: DimVector, name: str | None = None):
@@ -204,41 +226,43 @@ class KLRHandle(AlgebraHandle):
         self.n = d.total
         self.units_per_shift = 2
         self.idempotents = tuple(content_words(Q, d))
+        self._offsets = {w: word_offset(Q, w) for w in self.idempotents}
         artin = list(itertools.product(*(range(k + 1) for k in range(self.n))))
-        self._inputs = [
-            (w, exps, LabeledPoly.from_poly(w, Poly.monomial(self.n, exps)))
+        self._inputs = {
+            (w, exps + (_ArtinTag(w, 2 * sum(exps) + self._offsets[w]),)): 1
             for w in self.idempotents
             for exps in artin
-        ]
+        }
         self._memo: dict = {}
+
+    def _fold(self, a) -> dict:
+        """a on every Artin input at once: {(word, exponents + (tag,)): c},
+        where a cancelled key stays with c = 0."""
+        if a.n != self.n:
+            raise ValueError(f"an element on {a.n} strands for a handle on {self.n}")
+        return _apply_terms(self.Q, a.terms, self._inputs)
 
     def zero(self):
         return KLROperator.zero(self.Q, self.n)
 
+    @_memoised
     def unit(self, idem):
         return KLROperator.e(self.Q, self.n, idem)
 
     @_memoised
     def is_zero(self, a) -> bool:
-        if not a.terms:
-            return True
-        return all(a.apply(f).is_zero() for _, _, f in self._inputs)
+        return not any(self._fold(a).values())
 
     @_memoised
     def is_block_homogeneous(self, a, frm, to, degree: int) -> bool:
-        if not a.terms:
-            return True
-        for w, exps, f in self._inputs:
-            out = a.apply(f)
-            if w != frm:
-                if not out.is_zero():
-                    return False
+        offsets = self._offsets
+        for (w, e), c in self._fold(a).items():
+            if not c:
                 continue
-            if any(ow != to for ow, _ in out.terms):
+            tag = e[-1]
+            if tag.word != frm or w != to:
                 return False
-            degs = out.offset_degrees(self.Q)
-            want = 2 * sum(exps) + word_offset(self.Q, w) + degree
-            if degs and degs != {want}:
+            if 2 * sum(e[:-1]) + offsets[w] - tag.degree != degree:
                 return False
         return True
 
@@ -262,36 +286,32 @@ class KLRHandle(AlgebraHandle):
 
     @_memoised
     def invert_degree_zero(self, a, frm, to):
+        """The combination inv of block_basis(to, frm, 0) with inv * a =
+        e(frm) and a * inv = e(to) on every input, by one exact solve: a row
+        per (side, output key).  The reduced echelon form, and so the
+        solution with free unknowns zero, does not depend on the row order."""
         basis = self.block_basis(to, frm, 0)
         if not basis:
             return None
-        eq_src = self.unit(frm)
-        eq_tgt = self.unit(to)
-        col_maps: list[dict] = [dict() for _ in basis]
-        rhs_map: dict = {}
-        products = [(b * a, a * b) for b in basis]
-        for idx, f in enumerate(self._inputs):
-            inp = f[2]
-            for t, (ba, ab) in enumerate(products):
-                for key, c in ba.apply(inp).terms.items():
-                    col_maps[t][("L", idx, key)] = c
-                for key, c in ab.apply(inp).terms.items():
-                    col_maps[t][("R", idx, key)] = c
-            for key, c in eq_src.apply(inp).terms.items():
-                rhs_map[("L", idx, key)] = c
-            for key, c in eq_tgt.apply(inp).terms.items():
-                rhs_map[("R", idx, key)] = c
-        keys = sorted(set().union(rhs_map, *col_maps), key=repr)
+
+        def sides(left, right) -> dict:
+            rows = {("L", key): c for key, c in self._fold(left).items() if c}
+            rows.update((("R", key), c) for key, c in self._fold(right).items() if c)
+            return rows
+
+        col_maps = [sides(b * a, a * b) for b in basis]
+        rhs_map = sides(self.unit(frm), self.unit(to))
+        keys = list(dict.fromkeys(itertools.chain(rhs_map, *col_maps)))
         columns = [[m.get(k, 0) for k in keys] for m in col_maps]
         rhs = [rhs_map.get(k, 0) for k in keys]
         sol = solve_exact(columns, rhs)
         if sol is None:
             return None
-        inv = self.zero()
-        for c, b in zip(sol, basis):
-            if c:
-                inv = inv + b.scale(c)
-        return inv
+        return KLROperator(
+            self.Q,
+            self.n,
+            tuple((c * k, atoms) for k, b in zip(sol, basis) if k for c, atoms in b.terms),
+        )
 
     def gen_element(self, kind: str, arg):
         if kind == "e":
@@ -651,16 +671,18 @@ class ValidationReport:
     problems: tuple[str, ...]
 
 
-def _composite(h: AlgebraHandle, outer: dict, inner: dict, k: int, i: int, mids):
+def _composite(outer: dict, inner: dict, k: int, i: int, mids):
     """The (k, i) entry of the product outer * inner: the sum over j in
     mids, in order, of outer[k, j] * inner[j, i], a missing entry counting
-    as zero."""
-    acc = h.zero()
+    as zero.  None when no j has both entries: the entry is then zero
+    without a test, and no element is built for it."""
+    acc = None
     for j in mids:
         a = outer.get((k, j))
         b = inner.get((j, i))
         if a is not None and b is not None:
-            acc = acc + a * b
+            ab = a * b
+            acc = ab if acc is None else acc + ab
     return acc
 
 
@@ -692,7 +714,8 @@ def validate(c: GradedComplex) -> ValidationReport:
         tops = by_deg.get(c0 + 2, [])
         for i in by_deg[c0]:
             for k in tops:
-                if not h.is_zero(_composite(h, c.diff, c.diff, k, i, mids)):
+                dd = _composite(c.diff, c.diff, k, i, mids)
+                if dd is not None and not h.is_zero(dd):
                     problems.append(f"d after d is nonzero from {i} to {k}")
     return ValidationReport(not problems, tuple(problems))
 
@@ -740,9 +763,15 @@ def validate_chain_map(f: ChainMap) -> ValidationReport:
         for k in range(len(tg)):
             if tg[k].cohdeg != sg[i].cohdeg + 1:
                 continue
-            d_after_f = _composite(h, f.target.diff, f.entries, k, i, range(len(tg)))
-            f_after_d = _composite(h, f.entries, f.source.diff, k, i, range(len(sg)))
-            if not h.is_zero(d_after_f - f_after_d):
+            d_after_f = _composite(f.target.diff, f.entries, k, i, range(len(tg)))
+            f_after_d = _composite(f.entries, f.source.diff, k, i, range(len(sg)))
+            if f_after_d is None:
+                gap = d_after_f
+            elif d_after_f is None:
+                gap = f_after_d
+            else:
+                gap = d_after_f - f_after_d
+            if gap is not None and not h.is_zero(gap):
                 problems.append(f"square at source {i}, target {k} does not commute")
     return ValidationReport(not problems, tuple(problems))
 
@@ -824,9 +853,9 @@ def minimize(c: GradedComplex) -> GradedComplex:
         }
         for t, d_tp in from_p.items():
             for s, d_qs in into_q.items():
-                corr = -(d_tp * inv * d_qs)
+                corr = d_tp * inv * d_qs
                 old = diff.get((t, s))
-                diff[(t, s)] = corr if old is None else old + corr
+                diff[(t, s)] = -corr if old is None else old - corr
         c = c.restrict([k for k in range(len(gens)) if k not in (p, q)])
 
 
@@ -1010,7 +1039,7 @@ def random_complex(
                 if tk.cohdeg != si.cohdeg + 2:
                     continue
                 used = [j for j in range(len(gens)) if (k, j) in diff and (j, i) in diff]
-                if used and not handle.is_zero(_composite(handle, diff, diff, k, i, used)):
+                if used and not handle.is_zero(_composite(diff, diff, k, i, used)):
                     bad = (k, used[0])
                     break
             if bad:

@@ -441,7 +441,10 @@ class KLROperator:
         return KLROperator(self.Q, self.n, self.terms + other.terms)
 
     def __sub__(self, other: "KLROperator") -> "KLROperator":
-        return self + other.scale(-1)
+        self._check_same_algebra(other)
+        return KLROperator(
+            self.Q, self.n, self.terms + tuple((-c, atoms) for c, atoms in other.terms)
+        )
 
     def scale(self, factor) -> "KLROperator":
         return KLROperator(

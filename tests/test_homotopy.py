@@ -247,6 +247,41 @@ def test_minimize_three_term_schur_complement():
     assert len(m) == 0  # both unit pairs cancel and the correction vanishes
 
 
+def _schur_corner_is_exact() -> bool:
+    # p -> q is the unit, so cancelling it leaves t <- s with the correction
+    # -d[t,p] e^{-1} d[q,s] = -x2*x1*e(0,0), a nonzero entry
+    h = nil2()
+    p, s, q, t = (Generator((0, 0), 0, 0), Generator((0, 0), -1, 0),
+                  Generator((0, 0), 0, 1), Generator((0, 0), 1, 1))
+    c = GradedComplex(h, (p, s, q, t), {
+        (2, 0): parse_element(h, "e(0,0)"),
+        (2, 1): parse_element(h, "x1*e(0,0)"),
+        (3, 0): parse_element(h, "x2*e(0,0)"),
+    })
+    assert validate(c).ok
+    m = minimize(c)
+    assert m.generators == (s, t)
+    assert list(m.diff) == [(1, 0)]
+    return h.equal(m.diff[1, 0], parse_element(h, "-x2*x1*e(0,0)"))
+
+
+def test_minimize_applies_the_exact_schur_correction():
+    assert _schur_corner_is_exact()
+
+
+def test_schur_correction_check_catches_a_wrong_inverse(monkeypatch):
+    # the control: twice the inverse still cancels the pair, so only the
+    # corrected entry shows the slip
+    real = homotopy.KLRHandle.invert_degree_zero
+
+    def doubled(self, a, frm, to):
+        inv = real(self, a, frm, to)
+        return None if inv is None else inv.scale(2)
+
+    monkeypatch.setattr(homotopy.KLRHandle, "invert_degree_zero", doubled)
+    assert not _schur_corner_is_exact()
+
+
 def test_minimize_is_idempotent_and_euler_invariant():
     for spec in HANDLE_SPECS:
         h = parse_handle(spec)
@@ -460,6 +495,22 @@ def test_exact_decisions_agree_with_larger_input_set(spec):
                     assert _reference_is_zero(_reference_outputs(inputs, side - unit)), spec
     assert zero_seen == {True, False} and homog_seen == {True, False}, spec
     assert inverses, spec
+
+
+@pytest.mark.parametrize("spec", ["nilhecke:2", "klr:A2:1,1"])
+def test_an_atom_past_the_last_strand_is_refused(spec):
+    # no constructor emits x_{n+1}; built by hand, it reaches the input tag
+    # of a decision's fold, which must raise rather than answer
+    h = parse_handle(spec)
+    bad = KLROperator(h.Q, h.n, ((1, (("x", h.n + 1),)),))
+    frm = to = h.idempotents[0]
+    for decide in (
+        lambda: h.is_zero(bad),
+        lambda: h.is_block_homogeneous(bad, frm, to, 2),
+        lambda: h.invert_degree_zero(bad, frm, to),
+    ):
+        with pytest.raises((IndexError, TypeError)):
+            decide()
 
 
 # the handle methods whose answers the handle memoises
