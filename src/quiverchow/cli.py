@@ -16,9 +16,8 @@ import itertools
 import json
 import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from math import comb, prod
+from typing import NamedTuple
 
 from .extalg import Strata, compare_block, gdim_alg_klr, gdim_geo
 from .homotopy import (
@@ -641,15 +640,13 @@ def _table_complexes(doc: dict) -> str:
 # suites
 
 
-@dataclass(frozen=True)
-class CaseResult:
+class CaseResult(NamedTuple):
     case: str
     ok: bool
     detail: str
 
 
-@dataclass(frozen=True)
-class SuiteResult:
+class SuiteResult(NamedTuple):
     name: str
     cases: tuple[CaseResult, ...]
 
@@ -660,6 +657,8 @@ class SuiteResult:
 
 def _fan_out(fn, items, threads: int) -> list:
     if threads and threads > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(fn, items))
     return [fn(item) for item in items]

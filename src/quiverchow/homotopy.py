@@ -33,9 +33,9 @@ import functools
 import itertools
 import random
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
+from typing import NamedTuple
 
 from .klrpoly import (
     KLROperator,
@@ -613,8 +613,7 @@ def parse_element(handle: AlgebraHandle, text: str):
 # complexes
 
 
-@dataclass(frozen=True)
-class Generator:
+class Generator(NamedTuple):
     """One free summand e_idem A <shift> sitting in a cohomological degree."""
 
     idem: object
@@ -655,8 +654,7 @@ class GradedComplex:
         return len(self.generators)
 
 
-@dataclass(frozen=True)
-class ChainMap:
+class ChainMap(NamedTuple):
     """Degree-0 map of complexes; entries indexed (target generator index
     in the target complex, source generator index in the source complex)."""
 
@@ -665,8 +663,7 @@ class ChainMap:
     entries: dict
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     ok: bool
     problems: tuple[str, ...]
 

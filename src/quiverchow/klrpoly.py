@@ -40,13 +40,15 @@ import itertools
 import sys
 import threading
 from array import array
-from dataclasses import dataclass
 from math import comb
 from random import Random
+from typing import NamedTuple
 
 from .linalg import rank_int
-from .quiver import DimVector, Quiver, cartan, content_words, multinomial
+from .quiver import DimVector, Frozen, Quiver, cartan, content_words, multinomial
 from .series import _norm_coeff
+
+_set = object.__setattr__
 
 
 # ---------------------------------------------------------------------------
@@ -95,7 +97,10 @@ class _Sparse:
         return self._flat(self.n, {k: -c for k, c in self.terms.items()})
 
     def sub(self, other):
-        return self.add(other.neg())
+        out = dict(self.terms)
+        for k, c in other.terms.items():
+            out[k] = out.get(k, 0) - c
+        return self._flat(self.n, out)
 
     __add__ = add
     __neg__ = neg
@@ -372,8 +377,7 @@ def atom_degree(Q: Quiver, atom: tuple, word: tuple[int, ...]) -> int:
     return -cartan(Q, word[r - 1], word[r])
 
 
-@dataclass(frozen=True)
-class KLROperator:
+class KLROperator(Frozen):
     """Formal sum of generator compositions, evaluated by action.
 
     Terms are (coefficient, atoms) with atoms written left to right in
@@ -384,19 +388,26 @@ class KLROperator:
     indices and words outside the algebra on n strands.
     """
 
-    Q: Quiver
-    n: int
-    terms: tuple[tuple[object, tuple[tuple, ...]], ...]
+    __slots__ = ("Q", "n", "terms")
+    _fields = ("Q", "n", "terms")
 
-    def __post_init__(self) -> None:
+    def __init__(self, Q: Quiver, n: int, terms: tuple[tuple[object, tuple[tuple, ...]], ...]):
         merged: dict[tuple, object] = {}
-        for c, atoms in self.terms:
+        for c, atoms in terms:
             merged[atoms] = merged.get(atoms, 0) + c
-        object.__setattr__(
-            self,
-            "terms",
-            tuple((_norm_coeff(c), atoms) for atoms, c in sorted(merged.items()) if c != 0),
-        )
+        _set(self, "Q", Q)
+        _set(self, "n", n)
+        _set(self, "terms", tuple(
+            (_norm_coeff(c), atoms) for atoms, c in sorted(merged.items()) if c != 0
+        ))
+
+    def __eq__(self, other):
+        if other.__class__ is KLROperator:
+            return (self.Q, self.n, self.terms) == (other.Q, other.n, other.terms)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.Q, self.n, self.terms))
 
     # constructors
 
@@ -520,8 +531,7 @@ def braid_correction(Q: Quiver, n: int, word: tuple[int, ...], r: int) -> Poly:
 # relation suite
 
 
-@dataclass(frozen=True)
-class RelationVerdict:
+class RelationVerdict(NamedTuple):
     name: str
     trials: int
     failures: int
@@ -532,8 +542,7 @@ class RelationVerdict:
         return self.failures == 0
 
 
-@dataclass(frozen=True)
-class SuiteReport:
+class SuiteReport(NamedTuple):
     quiver: str
     dim: str
     seed: int

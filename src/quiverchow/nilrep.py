@@ -17,17 +17,36 @@ from __future__ import annotations
 import functools
 import itertools
 import re
-from dataclasses import dataclass
 
-from .quiver import DimVector, Quiver
+from .quiver import DimVector, Frozen, Quiver
+
+_set = object.__setattr__
 
 
-@dataclass(frozen=True, order=True)
-class Segment:
-    """String module with socle at `socle_vertex` and `length` basis vectors."""
+@functools.total_ordering
+class Segment(Frozen):
+    """String module with socle at `socle_vertex` and `length` basis vectors.
+    Segments are ordered by (socle_vertex, length)."""
 
-    socle_vertex: int
-    length: int
+    __slots__ = ("socle_vertex", "length")
+    _fields = ("socle_vertex", "length")
+
+    def __init__(self, socle_vertex: int, length: int) -> None:
+        _set(self, "socle_vertex", socle_vertex)
+        _set(self, "length", length)
+
+    def __eq__(self, other):
+        if other.__class__ is Segment:
+            return self.socle_vertex == other.socle_vertex and self.length == other.length
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.socle_vertex, self.length))
+
+    def __lt__(self, other):
+        if other.__class__ is Segment:
+            return (self.socle_vertex, self.length) < (other.socle_vertex, other.length)
+        return NotImplemented
 
     def support(self, Q: Quiver) -> list[int]:
         """Vertices carrying the basis vectors, socle last; cyclic quivers
@@ -49,14 +68,25 @@ class Segment:
         return f"({self.socle_vertex},{self.length})"
 
 
-@dataclass(frozen=True)
-class Multisegment:
-    """Multiset of segments in canonical sorted order; an isomorphism class."""
+class Multisegment(Frozen):
+    """Multiset of segments in canonical sorted order; an isomorphism class.
+    The hash is computed once, at construction."""
 
-    segments: tuple[Segment, ...]
+    __slots__ = ("segments", "_hash")
+    _fields = ("segments",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "segments", tuple(sorted(self.segments)))
+    def __init__(self, segments) -> None:
+        segments = tuple(sorted(segments))
+        _set(self, "segments", segments)
+        _set(self, "_hash", hash((segments,)))
+
+    def __eq__(self, other):
+        if other.__class__ is Multisegment:
+            return self.segments == other.segments
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @functools.lru_cache(maxsize=None)
     def dim_vector(self, Q: Quiver) -> DimVector:

@@ -44,23 +44,35 @@ paving recursion, and never identifies isomorphic quotients.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from math import prod
 from operator import mul
 
 from .linalg import kernel_basis
 from .nilrep import Multisegment, _quotient_of_basis, socle_basis
-from .quiver import Composition, DimVector, Quiver
+from .quiver import Composition, DimVector, Frozen, Quiver
+
+_set = object.__setattr__
 
 
-@dataclass(frozen=True)
-class CellSet:
+class CellSet(Frozen):
     """Multiset of affine cell dimensions, stored as counts: (dim,
     multiplicity) pairs with ascending dim and positive multiplicity.  No
     counts means the empty variety.  They are also the coefficients of the
     Poincare polynomial, which `evaluate` and `str` read."""
 
-    counts: tuple[tuple[int, int], ...]
+    __slots__ = ("counts",)
+    _fields = ("counts",)
+
+    def __init__(self, counts: tuple[tuple[int, int], ...]) -> None:
+        _set(self, "counts", counts)
+
+    def __eq__(self, other):
+        if other.__class__ is CellSet:
+            return self.counts == other.counts
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.counts,))
 
     @property
     def dims(self) -> tuple[int, ...]:

@@ -11,22 +11,62 @@ vector, in which case it is just a word in the vertex alphabet.
 
 from __future__ import annotations
 
-import functools
 import itertools
-from dataclasses import dataclass
 from math import comb, factorial, prod
 
+_set = object.__setattr__
 
-@dataclass(frozen=True)
-class Quiver:
-    kind: str  # "linear" or "cyclic"
-    n: int
 
-    def __post_init__(self) -> None:
-        if self.kind not in ("linear", "cyclic"):
-            raise ValueError(f"unknown quiver kind {self.kind!r}")
-        if self.n < 1:
+class Frozen:
+    """Base of the package's immutable value types.  A subclass lists its
+    fields in `_fields` (constructor order) and in `__slots__`, sets them
+    once in `__init__` through `object.__setattr__`, and writes its own
+    `__eq__` (true only between instances of one class) and `__hash__`.
+    Assigning or deleting an attribute afterwards raises AttributeError;
+    `repr` shows the fields, and copying or pickling goes through the
+    constructor."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__name__}({args})"
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f) for f in self._fields)
+
+
+class Quiver(Frozen):
+    """kind is "linear" or "cyclic"; n is the number of vertices.  The hash
+    is computed once, at construction."""
+
+    __slots__ = ("kind", "n", "_hash", "_arrow_table")
+    _fields = ("kind", "n")
+
+    def __init__(self, kind: str, n: int) -> None:
+        if kind not in ("linear", "cyclic"):
+            raise ValueError(f"unknown quiver kind {kind!r}")
+        if n < 1:
             raise ValueError("quiver needs at least one vertex")
+        _set(self, "kind", kind)
+        _set(self, "n", n)
+        _set(self, "_hash", hash((kind, n)))
+        _set(self, "_arrow_table", None)
+
+    def __eq__(self, other):
+        if other.__class__ is Quiver:
+            return self.kind == other.kind and self.n == other.n
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def vertices(self) -> range:
@@ -48,11 +88,15 @@ class Quiver:
             return 1 if (v + 1) % self.n == w else 0
         return 1 if w == v + 1 else 0
 
-    @functools.cached_property
+    @property
     def arrow_table(self) -> tuple[tuple[int, ...], ...]:
         """arrow_table[v][w] is arrow_count(v, w), built once per quiver and
         read without vertex checks: for hot loops over validated labels."""
-        return tuple(tuple(self.arrow_count(v, w) for w in self.vertices) for v in self.vertices)
+        table = self._arrow_table
+        if table is None:
+            table = tuple(tuple(self.arrow_count(v, w) for w in self.vertices) for v in self.vertices)
+            _set(self, "_arrow_table", table)
+        return table
 
     def arrows(self) -> list[tuple[int, int]]:
         """All arrows as (source, target) pairs."""
@@ -108,27 +152,43 @@ def parse_dimvector(s: str) -> DimVector:
     return DimVector(int(t) for t in s.strip().split(","))
 
 
-@dataclass(frozen=True)
-class Composition:
-    """Ordered list of nonzero dimension vectors; a flag type."""
+class Composition(Frozen):
+    """Ordered list of nonzero dimension vectors; a flag type.  The hash is
+    computed once, at construction, and `target` on first use."""
 
-    parts: tuple[DimVector, ...]
+    __slots__ = ("parts", "_hash", "_target")
+    _fields = ("parts",)
 
-    def __post_init__(self) -> None:
-        for p in self.parts:
+    def __init__(self, parts: tuple[DimVector, ...]) -> None:
+        for p in parts:
             if p.is_zero():
                 raise ValueError("composition parts must be nonzero")
-        n = {len(p) for p in self.parts}
+        n = {len(p) for p in parts}
         if len(n) > 1:
             raise ValueError("composition parts live over different vertex sets")
+        _set(self, "parts", parts)
+        _set(self, "_hash", hash((parts,)))
+        _set(self, "_target", None)
 
-    @functools.cached_property
+    def __eq__(self, other):
+        if other.__class__ is Composition:
+            return self.parts == other.parts
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @property
     def target(self) -> DimVector:
-        if not self.parts:
-            return DimVector(())
-        total = self.parts[0]
-        for p in self.parts[1:]:
-            total = total + p
+        total = self._target
+        if total is None:
+            if not self.parts:
+                total = DimVector(())
+            else:
+                total = self.parts[0]
+                for p in self.parts[1:]:
+                    total = total + p
+            _set(self, "_target", total)
         return total
 
     @property

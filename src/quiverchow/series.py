@@ -25,9 +25,10 @@ use) filter a canonical tuple, and `extalg._unpack` and
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
+
+from .quiver import Frozen
 
 DEFAULT_TRUNC = 24
 
@@ -40,21 +41,31 @@ def _norm_coeff(c):
     return c
 
 
-@dataclass(frozen=True)
-class HalfLaurentSeries:
+_set = object.__setattr__
+
+
+class HalfLaurentSeries(Frozen):
     """coeffs: sorted tuple of (exponent, nonzero coefficient); trunc is the
     last exponent guaranteed exact (float("inf") for exact polynomials).
     Construction puts coeffs in the canonical form of the module docstring;
     only `_canonical`, for the producers named there, skips that."""
 
-    coeffs: tuple[tuple[int, int | Fraction], ...]
-    trunc: int | float = INF
+    __slots__ = ("coeffs", "trunc")
+    _fields = ("coeffs", "trunc")
 
-    def __post_init__(self) -> None:
-        cleaned = tuple(
-            sorted((e, _norm_coeff(c)) for e, c in self.coeffs if c != 0 and e <= self.trunc)
-        )
-        object.__setattr__(self, "coeffs", cleaned)
+    def __init__(self, coeffs: tuple[tuple[int, int | Fraction], ...], trunc: int | float = INF):
+        _set(self, "coeffs", tuple(
+            sorted((e, _norm_coeff(c)) for e, c in coeffs if c != 0 and e <= trunc)
+        ))
+        _set(self, "trunc", trunc)
+
+    def __eq__(self, other):
+        if other.__class__ is HalfLaurentSeries:
+            return self.coeffs == other.coeffs and self.trunc == other.trunc
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.coeffs, self.trunc))
 
     # -- constructors ------------------------------------------------------
 
@@ -82,8 +93,8 @@ class HalfLaurentSeries:
         `Fraction` that is not integral; so the result equals
         `HalfLaurentSeries(coeffs, trunc)`, with the same tuple."""
         s = object.__new__(HalfLaurentSeries)
-        object.__setattr__(s, "coeffs", coeffs)
-        object.__setattr__(s, "trunc", trunc)
+        _set(s, "coeffs", coeffs)
+        _set(s, "trunc", trunc)
         return s
 
     # -- structure ---------------------------------------------------------

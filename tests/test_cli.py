@@ -1009,6 +1009,19 @@ def test_module_runs_without_install():
     assert json.loads(proc.stdout)["count"] == 5
 
 
+def test_import_loads_neither_dataclasses_nor_the_thread_pool():
+    src = os.path.dirname(os.path.dirname(quiverchow.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = ("import sys, quiverchow, quiverchow.cli; "
+            "print(sorted(m for m in ('dataclasses', 'inspect', 'concurrent.futures') "
+            "if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_demos_run():
     src = os.path.dirname(os.path.dirname(quiverchow.__file__))
     demos = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "demos")

@@ -809,3 +809,24 @@ def test_monomials_of_degree_counts():
     assert len(monomials_of_degree(3, 4)) == 15
     assert monomials_of_degree(1, 5) == [(5,)]
     assert monomials_of_degree(2, 0) == [(0, 0)]
+
+
+def test_subtraction_is_addition_of_the_negation():
+    half = Fraction(1, 2)
+    p = Poly(2, {(1, 0): 3, (0, 2): half, (0, 0): -1})
+    q = Poly(2, {(1, 0): 3, (1, 1): Fraction(3, 2), (0, 0): -half})
+    w, v = (0, 1), (1, 0)
+    elements = [
+        (p, q),
+        (LabeledPoly(2, {w: p, v: q}), LabeledPoly(2, {w: q})),
+        (SmashElement(2, {(0, 1): p, (1, 0): q}), SmashElement(2, {(1, 0): p.scale(half)})),
+    ]
+    for a, b in elements:
+        for x, y in ((a, b), (b, a), (a, a)):
+            diff = x - y
+            assert type(diff) is type(x)
+            assert diff == x + (-y) and diff.terms == (x + (-y)).terms
+            assert all(c != 0 for c in diff.terms.values())
+            assert all(type(c) is int for c in diff.terms.values() if c == int(c))
+        assert (a - a).is_zero() and (a - a) == type(a).zero(2)
+        assert (a - b) + b == a
