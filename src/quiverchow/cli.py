@@ -35,7 +35,7 @@ from .homotopy import (
     validate,
     weight_truncate,
 )
-from .klrpoly import TrialStreams, check_suite_size, inversions, relation_suite
+from .klrpoly import TrialInputs, check_suite_size, inversions, relation_suite
 from .nilrep import (
     Multisegment,
     Segment,
@@ -44,7 +44,7 @@ from .nilrep import (
     orbit_dim,
     parse_multisegment,
 )
-from .paving import EchelonForms, FqGraph, FqOracle, count_points, is_prime, paving_cells
+from .paving import EchelonForms, FqGraph, count_points, is_prime, paving_cells
 from .quiver import (
     Composition,
     DimVector,
@@ -679,13 +679,12 @@ def _dim_vectors(n: int, total: int):
 
 def paving_oracle_cases(max_total: int = 4):
     """One case per (quiver, multisegment): Poincaré polynomial equals the
-    point-count oracle at q in {2,3,5} for every composition, with one
-    `FqOracle` per q shared by the compositions; plus the named subregular
-    case with its frozen oracle values.  A max_total above
-    MAX_ORACLE_TOTAL is refused.
+    point-count oracle at q in {2,3,5} for every composition; plus the
+    named subregular case with its frozen oracle values.  A max_total
+    above MAX_ORACLE_TOTAL is refused.
 
-    Every oracle of a quiver at one q, the subregular case's included,
-    counts through one `FqGraph` of that (quiver, q), made empty here and
+    Every count of a quiver at one q, the subregular case's included,
+    goes through one `FqGraph` of that (quiver, q), made empty here and
     filled only while the cases run, so a class reuses the literal
     quotients that earlier classes of its quiver left; the graphs of one q
     read their Grassmannian echelon lists from one `EchelonForms(q)`.  The
@@ -714,10 +713,7 @@ def paving_oracle_cases(max_total: int = 4):
         P = paving_cells(Q, M, comp)
         want = {(0, 1), (1, 2)}
         got = set(P.counts)
-        c2, c3 = (
-            count_points(Q, M, comp, q, FqOracle(Q, M, q, graphs[("cyclic:1", q)]))
-            for q in (2, 3)
-        )
+        c2, c3 = (count_points(Q, M, comp, q, graphs[("cyclic:1", q)]) for q in (2, 3))
         if got != want:
             return False, f"poincare {P}, expected 1 + 2*q"
         if (c2, c3) != (5, 7):
@@ -732,16 +728,14 @@ def paving_oracle_cases(max_total: int = 4):
             for d in _dim_vectors(Q.n, total):
                 for M in enumerate_nilreps(Q, d):
                     def check(Q=Q, qspec=qspec, d=d, M=M):
-                        oracles = {
-                            q: FqOracle(Q, M, q, graphs[(qspec, q)]) for q in (2, 3, 5)
-                        }
+                        fields = [(q, graphs[(qspec, q)]) for q in (2, 3, 5)]
                         comps = comps_of.get(d)
                         if comps is None:
                             comps = comps_of[d] = enumerate_compositions(d)
                         for comp in comps:
                             P = paving_cells(Q, M, comp)
-                            for q, oracle in oracles.items():
-                                got = count_points(Q, M, comp, q, oracle)
+                            for q, graph in fields:
+                                got = count_points(Q, M, comp, q, graph)
                                 want = P.evaluate(q)
                                 if got != want:
                                     return False, (
@@ -827,25 +821,24 @@ def relations_cases(max_total: int = 4, trials: int = 100, seed: int = 0):
     trials without a failure.  Every (quiver, d) is checked against the
     relation-suite bounds before any case runs.
 
-    Every case reads its trial inputs from one `TrialStreams` store, made
+    Every case reads its trial inputs from one `TrialInputs` store, made
     empty here and filled only while the cases run.  A trial's input is
-    drawn as indices from the words of its key f"{seed}:{name}:{t}", and
-    depends only on that key and the case's shape (n strands, nw content
-    words), not on the quiver: the 104 cases at total 4 fall on 10 shapes.
-    So the first case of a shape draws each of its trials' inputs and
-    every later case of that shape reads them back, the same inputs a
-    fresh generator would give.  Cases on several threads may share the
-    store; two of them may both draw an input, and either copy is the
-    same."""
+    drawn as indices from `Random(key)` for its key f"{seed}:{name}:{t}",
+    and depends only on that key and the case's shape (n strands, nw
+    content words), not on the quiver: the 104 cases at total 4 fall on
+    10 shapes.  So the first case of a shape draws each of its trials'
+    inputs and every later case of that shape reads them back.  Cases on
+    several threads may share the store; two of them may both draw an
+    input, and either copy is the same."""
     cases = []
-    streams = TrialStreams()
+    store = TrialInputs()
     for qspec in SUITE_QUIVERS:
         Q = parse_quiver(qspec)
         for total in range(1, max_total + 1):
             for d in _dim_vectors(Q.n, total):
                 check_suite_size(Q, d)
                 def check(Q=Q, d=d):
-                    report = relation_suite(Q, d, trials=trials, seed=seed, streams=streams)
+                    report = relation_suite(Q, d, trials=trials, seed=seed, store=store)
                     short = next((v for v in report.verdicts if v.trials != trials), None)
                     if short is not None:
                         return False, f"{short.name}: ran {short.trials} of {trials} trials"

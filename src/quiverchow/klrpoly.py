@@ -20,8 +20,8 @@ t of family `name` draws its input from the 32-bit words that
 through `_below`, exactly the bits and values of the `random` methods they
 replace; tests pin them by digests.  The input is drawn as indices, so it
 depends on the trial key and the case's shape (strands, word count) alone,
-and a `TrialStreams` store that a sweep shares across its cases draws each
-once and hands it to every later case of that shape.
+and a `TrialInputs` store draws each once and hands it to every later case
+of that shape: a sweep shares one across its cases.
 
 The second algebra is the smash product of a polynomial ring with the
 symmetric group, S # Q[S_n], with multiplication (f.w)(g.v) = f w(g) . wv;
@@ -38,8 +38,6 @@ from __future__ import annotations
 import functools
 import itertools
 import sys
-import threading
-from array import array
 from math import comb
 from random import Random
 from typing import NamedTuple
@@ -582,19 +580,9 @@ def check_suite_size(Q: Quiver, d: DimVector) -> None:
         )
 
 
-# the words a key's first draw stores.  A trial reads about 6 words per
-# strand, and the stores that exist are the relations sweeps' (total at
-# most 4; a single `relation_suite` call draws without one): the most any
-# trial of `relations_cases(4, trials, s)` read was 45-56 words over s =
-# 0-9 at 25 trials and 51-56 over s = 0-2 at 100.  So 64 words serve every
-# such trial with one seeding, and a larger call that reads past them
-# seeds again for a prefix twice as long.
-_FIRST_WORDS = 64
-
-
-class TrialStreams:
+class TrialInputs:
     """The inputs of relation-suite trials, drawn once per trial key and
-    shape, and the word streams they are drawn from.
+    shape.
 
     A trial's input depends only on its key f"{seed}:{name}:{t}" and on
     the shape (n, nw) of its case, n strands and nw content words: every
@@ -602,73 +590,33 @@ class TrialStreams:
     enter only as indices into the case's word list.  So `inputs` keeps
     the index-level input of each (n, nw, key), one `bytes` per key in one
     dict per shape, and a case of that shape on any quiver reads it back
-    without drawing.  A miss draws it from the key's word stream: the
-    32-bit words that `Random(key).getrandbits(32)` yields, in order, held
-    as a prefix of that stream in one `array('I')`.  A key's first draw
-    stores its first `_FIRST_WORDS` words; a trial that reads past the
-    prefix it holds replaces it by one twice as long, built from a fresh
-    `Random(key)`.
+    without drawing.  A miss draws it from a fresh `Random(key)`.
 
     Call-scoped, like `paving.FqGraph`: it lives as long as its holder
     keeps it (`cli.relations_cases` keeps one for a sweep).  Two threads
     may share the store.  Entries are never changed in place; two threads
     may both draw the same input, and whichever copy is stored first is
-    kept, the other being identical.  A word stream is only ever replaced
-    by a longer prefix of the same stream, so a reader holding an older
-    one still reads the right words."""
+    kept, the other being identical."""
 
     def __init__(self):
-        self._words: dict[str, array] = {}
         self._inputs: dict[tuple[int, int], dict[str, bytes | tuple]] = {}
-        self._lock = threading.Lock()
 
     def inputs(self, key: str, n: int, nw: int, step):
         """The index-level input of trial `key` on n strands and nw words:
-        step(draw) for the draw function of key the first time, stored as
-        `bytes` (a tuple past 256 words, whose indices need more than one
-        byte; every other value is below the strand cap, 64), and that
-        stored copy on every later call.  step must read only n, nw and
-        its draws."""
+        step(draw) the first time, for draw returning the 32-bit words of
+        `Random(key).getrandbits(32)` in order, stored as `bytes` (a tuple
+        past 256 words, whose indices need more than one byte; every other
+        value is below the strand cap, 64), and that stored copy on every
+        later call.  step must read only n, nw and its draws."""
         shape = self._inputs.get((n, nw))
         if shape is None:
             shape = self._inputs.setdefault((n, nw), {})
         entry = shape.get(key)
         if entry is None:
             key = sys.intern(key)  # one key string for every shape
-            ints = step(self.draw(key))
+            ints = step(functools.partial(Random(key).getrandbits, 32))
             entry = shape.setdefault(key, bytes(ints) if nw <= 256 else tuple(ints))
         return entry
-
-    def draw(self, key: str):
-        """The draw function of trial `key`: each call returns the next
-        32-bit word of key's stream, the first call its first word."""
-        words = self._words.get(key)
-        if words is None:
-            words = self._words.setdefault(key, _stream_prefix(key, _FIRST_WORDS))
-        return itertools.chain(words, self._past(key, len(words))).__next__
-
-    def _past(self, key: str, start: int):
-        """The words of key's stream from index `start` on."""
-        while True:
-            words = self._words[key]
-            if len(words) <= start:
-                words = _stream_prefix(key, 2 * start)
-                with self._lock:
-                    if len(words) > len(self._words[key]):
-                        self._words[key] = words
-            yield from itertools.islice(words, start, None)
-            start = len(words)
-
-
-def _stream_prefix(key: str, length: int) -> array:
-    """The first `length` words of `Random(key).getrandbits(32)`, in order:
-    getrandbits(32 * length) holds them with the first in its lowest 32
-    bits."""
-    bits = Random(key).getrandbits(32 * length)
-    words = array("I", bits.to_bytes(4 * length, "little"))
-    if sys.byteorder == "big":
-        words.byteswap()
-    return words
 
 
 def _below(draw, m: int) -> int:
@@ -750,7 +698,7 @@ def _flat_of(inputs, start: int, n: int, words) -> dict:
 
 def relation_suite(
     Q: Quiver, d: DimVector, trials: int = 100, seed: int = 0,
-    streams: TrialStreams | None = None,
+    store: TrialInputs | None = None,
 ) -> SuiteReport:
     """Checks the defining relations of the labeled-polynomial action on
     seeded random inputs; also checks degree homogeneity of every
@@ -767,11 +715,11 @@ def relation_suite(
     reads only n = total(d), the word count nw and its draws, so the
     input depends on the key and (n, nw) alone, never on the quiver or
     the words.  Its check step maps the indices to this case's words and
-    folds.  With `streams`, a `TrialStreams` store, the inputs come from
-    the store, which draws each (key, n, nw) once (`cli.relations_cases`
-    shares one across its cases, whose keys and shapes repeat); without
-    it, each trial draws from a fresh `Random(key)`.  A (Q, d) past
-    `check_suite_size` is refused before any word is listed."""
+    folds.  The inputs come from `store`, a `TrialInputs` that draws each
+    (key, n, nw) once: `cli.relations_cases` shares one across its cases,
+    whose keys and shapes repeat, and a call without one makes its own,
+    where every key is new.  A (Q, d) past `check_suite_size` is refused
+    before any word is listed."""
     if d.total < 1:
         raise ValueError("the relation suite needs a dimension vector with positive total")
     check_suite_size(Q, d)
@@ -966,19 +914,14 @@ def relation_suite(
             return f"{atom} on {show(f)}: degrees {sorted(degs)}, expected {in_deg + shift}"
         return None
 
-    if streams is None:
-        def inputs_of(key: str, step):
-            return step(functools.partial(Random(key).getrandbits, 32))
-    else:
-        def inputs_of(key: str, step):
-            return streams.inputs(key, n, nw, step)
-
+    if store is None:
+        store = TrialInputs()
     verdicts = []
     for name, step, check in families:
         failures = 0
         witness = None
         for t in range(trials):
-            w = check(inputs_of(f"{seed}:{name}:{t}", step))
+            w = check(store.inputs(f"{seed}:{name}:{t}", n, nw, step))
             if w is not None:
                 failures += 1
                 if witness is None:

@@ -22,19 +22,18 @@ by them, with no elimination and no linear solve.
 An `FqGraph(Q, q)` holds a graph of nodes, one per literal quotient (the
 same dims and the same matrices) of representations of Q over F_q, and
 reads the Gr(k, m)(F_q) echelon forms, one list per (k, m), from an
-`EchelonForms(q)` that the graphs of several quivers may share.  An
-`FqOracle(Q, M, q, graph)` holds the materialized M and its node in that
-graph, so every composition of M, and every class counted through the
-same graph, reads the nodes the others left.  A node forms its socle kernels at most once,
-and for each first step its children once: the distinct quotients its
-enumerated first steps leave, each with the number of steps that leave
-it.  A count is the sum over the children of multiplicity times the
-child's count with the remaining steps, kept once per (node, steps).  When
-every arrow acts by zero, every first step leaves the same zero quotient,
-so that node has one child, whose multiplicity is the number of echelon
-forms, the length of the echelon lists, without forming the steps.  An
-oracle without a graph builds a fresh one, and `count_points` without an
-oracle builds a fresh oracle for the call; `cli.paving_oracle_cases` keeps
+`EchelonForms(q)` that the graphs of several quivers may share.  The
+graph keeps the node of each materialized M, so every composition of M,
+and every class counted through the same graph, reads the nodes the
+others left.  A node forms its socle kernels at most once, and for each
+first step its children once: the distinct quotients its enumerated
+first steps leave, each with the number of steps that leave it.  A count
+is the sum over the children of multiplicity times the child's count with
+the remaining steps, kept once per (node, steps).  When every arrow acts
+by zero, every first step leaves the same zero quotient, so that node has
+one child, whose multiplicity is the number of echelon forms, the length
+of the echelon lists, without forming the steps.  `count_points` without
+a graph builds a fresh one for the call; `cli.paving_oracle_cases` keeps
 one graph per (quiver, q), and one `EchelonForms` per q, for a whole
 sweep.  However long the graph lives, the count is still a direct
 enumeration on literal matrices: it uses no formula for the count, no
@@ -325,7 +324,7 @@ class EchelonForms:
 
 class FqGraph:
     """The literal quotients of representations of one quiver Q over one
-    field F_q, shared by every `FqOracle` built on it.
+    field F_q, shared by every `count_points` call given it.
 
     Call-scoped, like `extalg.Strata`: it holds one node per literal
     quotient (dimensions and every matrix entry in arrow order), and reads
@@ -338,13 +337,15 @@ class FqGraph:
     multiplicity times the count of (child, parts[1:]), kept once per node
     and parts.  Q and q are fixed per graph, so they are not in the key;
     two representations whose quotients agree matrix for matrix reach the
-    same node, whichever M they came from.  The graph lives as long as its
+    same node, whichever M they came from; the node of M itself, its
+    shift matrices, is kept per M, so its compositions start from it
+    without materializing M again.  The graph lives as long as its
     holder keeps it (`cli.paving_oracle_cases` keeps one per (quiver, q)
     for a sweep), and the count is still a direct enumeration: it never
     identifies isomorphic quotients and never consults the paving
-    recursion or its cache.  Two threads may both build a node, a child
-    list or an echelon list; either copy counts correctly, so a graph may
-    serve several threads."""
+    recursion or its cache.  Two threads may both build a node, the node
+    of an M, a child list or an echelon list; either copy counts
+    correctly, so a graph may serve several threads."""
 
     def __init__(self, Q: Quiver, q: int, echelons: EchelonForms | None = None):
         if echelons is None:
@@ -354,6 +355,16 @@ class FqGraph:
         self.Q, self.q = Q, q
         self.echelons = echelons
         self._nodes: dict[tuple, _Node] = {}
+        self._tops: dict[Multisegment, tuple[DimVector, _Node]] = {}
+
+    def _top(self, M: Multisegment) -> tuple[DimVector, _Node]:
+        """The dimension vector of M and the node of M materialized as
+        shift matrices over F_q, kept per M on first use."""
+        top = self._tops.get(M)
+        if top is None:
+            rep = _MatRep.from_multisegment(self.Q, M, self.q)
+            top = self._tops[M] = (M.dim_vector(self.Q), self._node(rep))
+        return top
 
     def _node(self, rep: _MatRep) -> _Node:
         # every matrix entry, row by row, in arrow order
@@ -424,34 +435,8 @@ class FqGraph:
         return total
 
 
-class FqOracle:
-    """Point counts of flags in one representation M over one field F_q.
-
-    It holds M materialized as shift matrices over F_q and the node of
-    those matrices in `graph`, an `FqGraph(Q, q)`: a fresh one when None,
-    whose nodes then live as long as the oracle, or one shared with other
-    oracles of the same (Q, q), whose nodes outlive this one.  Every
-    composition counted through the oracle walks the graph from that node,
-    so compositions of M, and the classes sharing the graph, reuse each
-    other's quotients, children and counts.  A graph of another (Q, q) is
-    a ValueError."""
-
-    def __init__(self, Q: Quiver, M: Multisegment, q: int, graph: FqGraph | None = None):
-        if graph is None:
-            graph = FqGraph(Q, q)
-        elif (graph.Q, graph.q) != (Q, q):
-            raise ValueError(
-                f"graph built for {graph.Q} over F_{graph.q}, asked for {Q} over F_{q}"
-            )
-        self.Q, self.M, self.q = Q, M, q
-        self.graph = graph
-        self.dim = M.dim_vector(Q)
-        self._top = graph._node(_MatRep.from_multisegment(Q, M, q))
-
-
 def count_points(
-    Q: Quiver, M: Multisegment, comp: Composition, q: int,
-    oracle: FqOracle | None = None,
+    Q: Quiver, M: Multisegment, comp: Composition, q: int, graph: FqGraph | None = None,
 ) -> int:
     """Number of strictly lowering flags of type comp in M over F_q.
 
@@ -461,16 +446,16 @@ def count_points(
     and the count proceeds on the matrix quotient.  Distinct first steps
     often give matrix-for-matrix identical quotients, and so do the
     compositions of one M and other classes of Q, so the quotients and
-    counts are kept in the `FqGraph` of `oracle` (a fresh `FqOracle(Q, M,
-    q)`, on a fresh graph, when None); an oracle built for another
-    (Q, M, q) is a ValueError.
+    counts are kept in `graph`, an `FqGraph(Q, q)`: a fresh one when None,
+    or one shared with other calls of the same (Q, q), whose nodes outlive
+    this one.  A graph of another (Q, q) is a ValueError.
     """
-    if oracle is None:
-        oracle = FqOracle(Q, M, q)
-    elif (oracle.Q, oracle.M, oracle.q) != (Q, M, q):
+    if graph is None:
+        graph = FqGraph(Q, q)
+    elif (graph.Q, graph.q) != (Q, q):
         raise ValueError(
-            f"oracle built for {oracle.M} on {oracle.Q} over F_{oracle.q}, "
-            f"asked for {M} on {Q} over F_{q}"
+            f"graph built for {graph.Q} over F_{graph.q}, asked for {Q} over F_{q}"
         )
-    _check_target(Q, oracle.dim, comp)
-    return oracle.graph._count_flags(oracle._top, comp.parts)
+    dim, top = graph._top(M)
+    _check_target(Q, dim, comp)
+    return graph._count_flags(top, comp.parts)

@@ -175,6 +175,27 @@ def test_paving_oracle_bytes_are_pinned(capsys):
     assert hashlib.sha256(out.encode()).hexdigest()[:16] == "6a3d5f763c36093e"
 
 
+def test_relations_bytes_are_pinned(capsys):
+    # the sweep's shared trial store on one and two threads, and two calls
+    # without a store, one on 20 strands, whose trials draw the most words;
+    # the bytes are verdicts, so the draws themselves are pinned in
+    # test_klrpoly.py
+    for threads in ("1", "2"):
+        code, out = run_cli(capsys, "suite", "relations", "--trials", "25", "--seed", "1",
+                            "--threads", threads)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest()[:16] == "a68aa77a25707be5", threads
+    for argv, digest in (
+        (["--quiver", "A3", "--dim", "1,2,1", "--trials", "25", "--seed", "1"],
+         "0847b08f7fc283b4"),
+        (["--quiver", "A1", "--dim", "20", "--trials", "20", "--seed", "3"],
+         "9455bff75f664ead"),
+    ):
+        code, out = run_cli(capsys, "klr-selftest", *argv)
+        assert code == 0, argv
+        assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest, argv
+
+
 def test_klr_selftest_passes(capsys):
     code, out = run_cli(capsys, "klr-selftest", "--quiver", "A2",
                         "--dim", "1,1", "--trials", "5", "--seed", "3")

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 
@@ -39,6 +39,7 @@ from quiverchow.quiver import (
     Composition,
     DimVector,
     cartan,
+    content_words,
     dim_qvariety,
     enumerate_complete_comps,
     enumerate_compositions,
@@ -160,6 +161,55 @@ def test_transpose_symmetry_of_geometric_blocks():
                 if m > N or m + delta > N:
                     continue
                 assert fwd.coefficient(m) == bwd.coefficient(m + delta)
+
+
+def _reversal_failures(spec: str, reverse: bool, relabel: bool) -> tuple[int, int]:
+    """(failing, all) complete blocks of total 1-3 on spec for the map
+    sending the block (i, j) of d to (s(rev i), s(rev j)) of s(d), with rev
+    the word reversal if `reverse` and s the vertex reversal sigma if
+    `relabel` (sigma(v) = n - 1 - v on A_n, -v mod e on cyclic:e)."""
+    Q = parse_quiver(spec)
+    n = Q.n
+    if not relabel:
+        sigma = list(range(n))
+    elif Q.kind == "linear":
+        sigma = [n - 1 - v for v in range(n)]
+    else:
+        sigma = [-v % n for v in range(n)]
+
+    def image(word):
+        return tuple(sigma[v] for v in (word[::-1] if reverse else word))
+
+    failed = blocks = 0
+    for d in product(range(4), repeat=n):
+        if not 1 <= sum(d) <= 3:
+            continue
+        dv = DimVector(d)
+        sd = DimVector(tuple(d[sigma[v]] for v in range(n)))  # sigma is an involution
+        strata, strata_s = Strata(Q, dv), Strata(Q, sd)
+        words = content_words(Q, dv)
+        for i in words:
+            for j in words:
+                here = gdim_geo(Q, dv, Composition.from_word(i, n),
+                                Composition.from_word(j, n), strata=strata)
+                there = gdim_geo(Q, sd, Composition.from_word(image(i), n),
+                                 Composition.from_word(image(j), n), strata=strata_s)
+                failed += here != there
+                blocks += 1
+    return failed, blocks
+
+
+@pytest.mark.parametrize("spec, blocks, control", [
+    ("A2", 28, 14), ("A3", 111, 46), ("cyclic:2", 28, 0), ("cyclic:3", 111, 60),
+])
+def test_reversal_symmetry_of_geometric_blocks(spec, blocks, control):
+    # transposing identifies Rep(Q) with Rep(Q^op), and sigma identifies
+    # Q^op with Q, so gdim_geo(d, i, j) = gdim_geo(sigma d, sigma rev i,
+    # sigma rev j); the reversal alone, or sigma alone, fails the same
+    # blocks (on cyclic:2 sigma is the identity, so neither fails)
+    assert _reversal_failures(spec, True, True) == (0, blocks)
+    assert _reversal_failures(spec, True, False) == (control, blocks)
+    assert _reversal_failures(spec, False, True) == (control, blocks)
 
 
 def test_block_key_requires_matching_targets():

@@ -383,82 +383,6 @@ def test_a_bound_one_word_cannot_serve_is_refused(m):
     assert rng.getstate() == random.Random(0).getstate()
 
 
-def test_a_stream_past_its_first_prefix_is_the_generator_sequence():
-    # trials on the 20 strands of A1 (20) read past the first prefix of
-    # their streams
-    Q, d = parse_quiver("A1"), DimVector((20,))
-    read = []
-    real_draw = klrpoly.TrialStreams.draw
-
-    def recorded(self, key):
-        draw = real_draw(self, key)
-        words = []
-        read.append((key, words))
-
-        def next_word():
-            words.append(draw())
-            return words[-1]
-        return next_word
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(klrpoly.TrialStreams, "draw", recorded)
-        assert relation_suite(Q, d, trials=20, seed=3, streams=klrpoly.TrialStreams()).ok
-    assert max(len(words) for _, words in read) > klrpoly._FIRST_WORDS
-    for key, words in read:
-        rng = random.Random(key)
-        assert words == [rng.getrandbits(32) for _ in words], key
-    # three growth steps, and a store that already holds a grown prefix
-    # hands out the same words again
-    rng = random.Random("3:braid:0")
-    want = [rng.getrandbits(32) for _ in range(5 * klrpoly._FIRST_WORDS)]
-    streams = klrpoly.TrialStreams()
-    for _ in range(2):
-        draw = streams.draw("3:braid:0")
-        assert [draw() for _ in want] == want
-
-
-def test_threads_sharing_a_store_read_the_generator_sequence():
-    # more threads than cores, switching often, read streams of shared keys
-    # to different lengths; each reads its key's words, and no entry is
-    # replaced by a shorter one
-    keys = [f"0:braid:{t}" for t in range(40)]
-    lengths = (5, klrpoly._FIRST_WORDS + 1, 3 * klrpoly._FIRST_WORDS, 7 * klrpoly._FIRST_WORDS)
-    want = {}
-    for key in keys:
-        rng = random.Random(key)
-        want[key] = [rng.getrandbits(32) for _ in range(2 * max(lengths))]
-    streams = klrpoly.TrialStreams()
-    wrong = []
-    read = []
-
-    def reader(offset):
-        for i in range(4 * len(keys)):
-            key = keys[(i + offset) % len(keys)]
-            length = lengths[(i // len(keys) + offset) % len(lengths)]
-            draw = streams.draw(key)
-            if [draw() for _ in range(length)] != want[key][:length]:
-                wrong.append((key, length))
-            read.append((key, length))
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=reader, args=(k,)) for k in range(6)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(thread.is_alive() for thread in threads)
-    assert wrong == []
-    for key in keys:
-        stored = streams._words[key]
-        assert len(stored) >= max(length for k, length in read if k == key)
-        assert list(stored) == want[key][:len(stored)]
-    assert {length for _, length in read} == set(lengths)
-
-
 def test_threads_sharing_a_store_draw_one_input_per_shape():
     # more threads than cores, switching often, ask for the inputs of
     # shared keys on shared shapes; each gets what a draw straight from
@@ -475,14 +399,14 @@ def test_threads_sharing_a_store_draw_one_input_per_shape():
         (key, n, nw): step_for(n, nw)(functools.partial(random.Random(key).getrandbits, 32))
         for key in keys for n, nw in shapes
     }
-    streams = klrpoly.TrialStreams()
+    store = klrpoly.TrialInputs()
     wrong = []
 
     def reader(offset):
         for i in range(4 * len(keys)):
             key = keys[(i + offset) % len(keys)]
             n, nw = shapes[(i // len(keys) + offset) % len(shapes)]
-            if list(streams.inputs(key, n, nw, step_for(n, nw))) != want[key, n, nw]:
+            if list(store.inputs(key, n, nw, step_for(n, nw))) != want[key, n, nw]:
                 wrong.append((key, n, nw))
 
     interval = sys.getswitchinterval()
@@ -497,11 +421,11 @@ def test_threads_sharing_a_store_draw_one_input_per_shape():
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert wrong == []
-    assert {shape: set(entries) for shape, entries in streams._inputs.items()} == {
+    assert {shape: set(entries) for shape, entries in store._inputs.items()} == {
         shape: set(keys) for shape in shapes
     }
     # past 256 words an index needs more than one byte
-    assert {type(entry) for entry in streams._inputs[4, 300].values()} == {tuple}
+    assert {type(entry) for entry in store._inputs[4, 300].values()} == {tuple}
 
 
 def _fold_inputs(monkeypatch, cases) -> list:
@@ -524,14 +448,14 @@ def _fold_inputs(monkeypatch, cases) -> list:
 
 
 def test_a_shared_store_draws_what_a_fresh_store_draws(monkeypatch):
-    # the sweep's one store against calls without a store, which draw each
-    # trial from its own Random(key); at total 4 every one of the 10 shapes
+    # the sweep's one store against calls without a store, which make their
+    # own; at total 4 every one of the 10 shapes
     # (n, nw) is read back by cases on other quivers
     from quiverchow import cli
 
     for seed in (0, 7):
         shared = _fold_inputs(monkeypatch, cli.relations_cases(4, 10, seed))
-        monkeypatch.setattr(cli, "TrialStreams", lambda: None)
+        monkeypatch.setattr(cli, "TrialInputs", lambda: None)
         fresh = _fold_inputs(monkeypatch, cli.relations_cases(4, 10, seed))
         monkeypatch.undo()
         assert shared == fresh
@@ -545,7 +469,7 @@ def test_a_sweep_draws_each_input_once_per_shape(monkeypatch):
     from quiverchow import cli
 
     asked, drawn = [], []
-    real_inputs = klrpoly.TrialStreams.inputs
+    real_inputs = klrpoly.TrialInputs.inputs
 
     def counted(self, key, n, nw, step):
         asked.append(key)
@@ -555,7 +479,7 @@ def test_a_sweep_draws_each_input_once_per_shape(monkeypatch):
             return step(draw)
         return real_inputs(self, key, n, nw, counted_step)
 
-    monkeypatch.setattr(klrpoly.TrialStreams, "inputs", counted)
+    monkeypatch.setattr(klrpoly.TrialInputs, "inputs", counted)
     cases = cli.relations_cases(4, 10, 0)
     assert all(check()[0] for _, check in cases)
     assert len(drawn) == len(set(drawn)) == 840
@@ -565,17 +489,16 @@ def test_a_sweep_draws_each_input_once_per_shape(monkeypatch):
 
 def test_a_sweep_store_holds_its_inputs_in_256_kib(monkeypatch):
     # the index-level inputs of a 25-trial sweep at total 4: one bytes
-    # entry per (key, n, nw) in one dict per shape (their key strings are
-    # the word streams' keys)
+    # entry per (key, n, nw) in one dict per shape
     from quiverchow import cli
 
     made = []
 
     def recorded():
-        made.append(klrpoly.TrialStreams())
+        made.append(klrpoly.TrialInputs())
         return made[-1]
 
-    monkeypatch.setattr(cli, "TrialStreams", recorded)
+    monkeypatch.setattr(cli, "TrialInputs", recorded)
     assert all(check()[0] for _, check in cli.relations_cases(4, 25, 0))
     (store,) = made
     shapes = store._inputs.values()
@@ -585,25 +508,6 @@ def test_a_sweep_store_holds_its_inputs_in_256_kib(monkeypatch):
         sys.getsizeof(shape) + sum(map(sys.getsizeof, shape.values())) for shape in shapes
     )
     assert held <= 256 * 1024
-
-
-@pytest.mark.parametrize("seed", [0, 1])
-def test_a_sweep_reads_no_stream_past_its_first_prefix(monkeypatch, seed):
-    # no trial of a 25-trial sweep at total 4 reads more than
-    # `_FIRST_WORDS` words, so each key is seeded once
-    from quiverchow import cli
-
-    made = []
-
-    def recorded():
-        made.append(klrpoly.TrialStreams())
-        return made[-1]
-
-    monkeypatch.setattr(cli, "TrialStreams", recorded)
-    assert all(check()[0] for _, check in cli.relations_cases(4, 25, seed))
-    (store,) = made
-    assert len(store._words) == 250
-    assert {len(words) for words in store._words.values()} == {klrpoly._FIRST_WORDS}
 
 
 def test_relation_suite_catches_a_flipped_arrow_factor(monkeypatch):

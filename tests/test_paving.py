@@ -27,7 +27,6 @@ from quiverchow.paving import (
     CellSet,
     EchelonForms,
     FqGraph,
-    FqOracle,
     _MatRep,
     _rref_matrices,
     count_points,
@@ -297,7 +296,7 @@ def test_count_points_rejects_nonprime_field_size():
 
 
 def test_shared_oracle_counts_equal_fresh_counts():
-    # one oracle per (M, q) serves every composition, in the reverse order,
+    # one graph per (M, q) serves every composition, in the reverse order,
     # so later counts read nodes, children and counts left by earlier
     # compositions; every count also equals the paving at q, on every class
     # up to total 4 of the suite quivers
@@ -311,8 +310,8 @@ def test_shared_oracle_counts_equal_fresh_counts():
             comps = list(enumerate_compositions(dv))[::-1]
             for M in enumerate_nilreps(Q, dv):
                 for q in (2, 3, 5):
-                    oracle = FqOracle(Q, M, q)
-                    shared = [count_points(Q, M, c, q, oracle) for c in comps]
+                    graph = FqGraph(Q, q)
+                    shared = [count_points(Q, M, c, q, graph) for c in comps]
                     fresh = [count_points(Q, M, c, q) for c in comps]
                     paved = [paving_cells(Q, M, c).evaluate(q) for c in comps]
                     assert shared == fresh == paved, (spec, str(M), q)
@@ -353,30 +352,48 @@ def test_socle_kernels_once_per_distinct_node(monkeypatch):
     assert (len(kernels), len(quotients)) == (114, 309)
 
 
+def test_each_class_is_materialized_once_per_graph(monkeypatch):
+    # a graph keeps the top node of each M, so the compositions of a class,
+    # and the subregular case after its class, share one materialization
+    made = []
+    real = _MatRep.from_multisegment
+
+    def counted(Q, M, p):
+        made.append((str(Q), str(M), p))
+        return real(Q, M, p)
+
+    monkeypatch.setattr(_MatRep, "from_multisegment", staticmethod(counted))
+    cases = paving_oracle_cases(3)
+    for name, check in cases:
+        assert check()[0], name
+    assert len(made) == len(set(made)) == 3 * (len(cases) - 1)
+
+
 def test_oracle_for_another_rep_or_field_is_refused():
+    # a graph serves every M of its (Q, q), each from its own top node; an M
+    # of another dimension than the composition's target is refused
     M = parse_multisegment("(0,2)+(0,1)")
     comp = parse_composition("1;1;1", 1)
-    oracle = FqOracle(LOOP, M, 3)
-    assert count_points(LOOP, M, comp, 3, oracle) == 7
-    with pytest.raises(ValueError):
-        count_points(LOOP, M, comp, 2, oracle)
-    with pytest.raises(ValueError):
-        count_points(LOOP, parse_multisegment("(0,3)"), comp, 3, oracle)
-    with pytest.raises(ValueError):
-        count_points(parse_quiver("cyclic:2"), M, comp, 3, oracle)
-    with pytest.raises(ValueError):
-        FqOracle(LOOP, M, 4)
+    graph = FqGraph(LOOP, 3)
+    assert count_points(LOOP, M, comp, 3, graph) == 7
+    other = parse_multisegment("(0,3)")
+    assert count_points(LOOP, other, comp, 3, graph) == count_points(LOOP, other, comp, 3) == 1
+    assert count_points(LOOP, M, comp, 3, graph) == 7
+    assert set(graph._tops) == {M, other}
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        count_points(LOOP, parse_multisegment("(0,2)"), comp, 3, graph)
 
 
 def test_graph_of_another_quiver_or_field_is_refused():
     M = parse_multisegment("(0,2)+(0,1)")
     comp = parse_composition("1;1;1", 1)
     graph = FqGraph(LOOP, 3)
-    assert count_points(LOOP, M, comp, 3, FqOracle(LOOP, M, 3, graph)) == 7
-    with pytest.raises(ValueError):
-        FqOracle(LOOP, M, 2, graph)
-    with pytest.raises(ValueError):
-        FqOracle(parse_quiver("cyclic:2"), parse_multisegment("(0,1)"), 3, graph)
+    assert count_points(LOOP, M, comp, 3, graph) == 7
+    with pytest.raises(ValueError, match="graph built for"):
+        count_points(LOOP, M, comp, 2, graph)
+    with pytest.raises(ValueError, match="graph built for"):
+        count_points(parse_quiver("cyclic:2"), parse_multisegment("(0,1)"),
+                     parse_composition("1,0", 2), 3, graph)
     with pytest.raises(ValueError):
         FqGraph(LOOP, 4)
     with pytest.raises(ValueError):
@@ -398,8 +415,7 @@ def test_shared_graph_counts_equal_fresh_counts():
         for q in (2, 3, 5):
             graph = FqGraph(Q, q)
             for M in classes:
-                oracle = FqOracle(Q, M, q, graph)
-                shared = [count_points(Q, M, c, q, oracle) for c in comps]
+                shared = [count_points(Q, M, c, q, graph) for c in comps]
                 fresh = [count_points(Q, M, c, q) for c in comps]
                 assert shared == fresh, (spec, str(M), q)
                 compared += len(comps)
@@ -447,7 +463,7 @@ def test_one_part_counts_one_exactly_on_semisimple_classes():
 def test_semisimple_counts_equal_the_paving_at_q():
     # every arrow of a semisimple class acts by zero, so the oracle counts
     # the first steps without forming them and one quotient once; one
-    # oracle per (M, q) serves every composition
+    # graph per (M, q) serves every composition
     compared = 0
     for spec in ("A1", "A2", "A3", "cyclic:1", "cyclic:2", "cyclic:3"):
         Q = parse_quiver(spec)
@@ -458,10 +474,10 @@ def test_semisimple_counts_equal_the_paving_at_q():
             M = semisimple_class(Q, dv)
             comps = list(enumerate_compositions(dv))
             for q in (2, 3, 5):
-                oracle = FqOracle(Q, M, q)
+                graph = FqGraph(Q, q)
                 for c in comps:
                     want = paving_cells(Q, M, c).evaluate(q)
-                    assert count_points(Q, M, c, q, oracle) == want, (spec, d, str(c), q)
+                    assert count_points(Q, M, c, q, graph) == want, (spec, d, str(c), q)
                     compared += 1
     assert compared > 1000
     # the largest flag type `count` accepts on four points of the loop
