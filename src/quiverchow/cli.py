@@ -38,7 +38,6 @@ from .homotopy import (
 from .klrpoly import TrialInputs, check_suite_size, inversions, relation_suite
 from .nilrep import (
     Multisegment,
-    Segment,
     aut_series_exponents,
     enumerate_nilreps,
     orbit_dim,
@@ -562,6 +561,15 @@ def cmd_klr_selftest(args) -> tuple[int, str]:
     return (0 if report.ok else 2), _dumps(doc)
 
 
+def _op_int(op: str) -> int:
+    """The N of a complex op "name:N"; any other text is refused by name."""
+    name, _, text = op.partition(":")
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"complex op {op!r} is not of the form {name}:<N>") from None
+
+
 def cmd_complex(args) -> tuple[int, str]:
     if args.input == "-":
         text = sys.stdin.read()
@@ -593,11 +601,11 @@ def cmd_complex(args) -> tuple[int, str]:
     elif op == "cone-id":
         result = cone(identity_map(c))
     elif op.startswith("shift:"):
-        result = shift(c, int(op.split(":", 1)[1]))
+        result = shift(c, _op_int(op))
     elif op.startswith("twist:"):
-        result = twist(c, int(op.split(":", 1)[1]))
+        result = twist(c, _op_int(op))
     elif op.startswith("truncate:"):
-        n = int(op.split(":", 1)[1])
+        n = _op_int(op)
         upper, lower, inclusion = weight_truncate(c, n)
         out = {
             "schema": "complex-truncate/1",

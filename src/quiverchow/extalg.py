@@ -53,42 +53,11 @@ from .paving import paving_cells
 from .quiver import (
     Composition,
     DimVector,
-    Frozen,
     Quiver,
     dim_qvariety,
     permutation_degrees,
 )
 from .series import DEFAULT_TRUNC, HalfLaurentSeries, bgl, first_discrepancy, times_bgl
-
-_set = object.__setattr__
-
-
-class BlockKey(Frozen):
-    """Index of one block: a pair of compositions of the same vector."""
-
-    __slots__ = ("quiver", "dim", "source", "target")
-    _fields = ("quiver", "dim", "source", "target")
-
-    def __init__(self, quiver: Quiver, dim: DimVector, source: Composition, target: Composition):
-        if source.target != target.target:
-            raise ValueError("source and target compositions refine different vectors")
-        _set(self, "quiver", quiver)
-        _set(self, "dim", dim)
-        _set(self, "source", source)
-        _set(self, "target", target)
-
-    def __eq__(self, other):
-        if other.__class__ is BlockKey:
-            return (self.quiver, self.dim, self.source, self.target) == (
-                other.quiver, other.dim, other.source, other.target
-            )
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.quiver, self.dim, self.source, self.target))
-
-    def __str__(self) -> str:
-        return f"{self.source}|{self.target}"
 
 
 class GdimReport(NamedTuple):

@@ -424,19 +424,31 @@ class SmashHandle(AlgebraHandle):
         return "e"
 
 
+_HANDLE_FORMS = {"nilhecke": "nilhecke:<n>", "klr": "klr:<quiver>:<dims>", "smash": "smash:<n>"}
+
+
 def parse_handle(spec: str) -> AlgebraHandle:
-    """Parse "nilhecke:<n>", "klr:<quiver>:<dims>", or "smash:<n>"."""
+    """Parse "nilhecke:<n>", "klr:<quiver>:<dims>", or "smash:<n>".  A spec
+    that does not parse is one ValueError naming it and its form."""
     spec = spec.strip()
-    if spec.startswith("nilhecke:"):
-        n = int(spec.split(":", 1)[1])
+    kind, _, rest = spec.partition(":")
+    form = _HANDLE_FORMS.get(kind)
+    if form is None:
+        raise ValueError(f"unknown handle spec {spec!r}: the forms are "
+                         + ", ".join(_HANDLE_FORMS.values()))
+    try:
+        if kind == "klr":
+            qspec, dims = rest.rsplit(":", 1)
+            Q, d = parse_quiver(qspec), parse_dimvector(dims)
+        else:
+            n = int(rest)
+    except ValueError:
+        raise ValueError(f"handle spec {spec!r} is not of the form {form}") from None
+    if kind == "klr":
+        return KLRHandle(Q, d, name=spec)
+    if kind == "nilhecke":
         return KLRHandle(parse_quiver("A1"), DimVector((n,)), name=spec)
-    if spec.startswith("klr:"):
-        rest = spec.split(":", 1)[1]
-        qspec, dims = rest.rsplit(":", 1)
-        return KLRHandle(parse_quiver(qspec), parse_dimvector(dims), name=spec)
-    if spec.startswith("smash:"):
-        return SmashHandle(int(spec.split(":", 1)[1]), name=spec)
-    raise ValueError(f"unknown handle spec {spec!r}")
+    return SmashHandle(n, name=spec)
 
 
 # ---------------------------------------------------------------------------

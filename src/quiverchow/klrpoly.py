@@ -15,13 +15,12 @@ input's map; `KLROperator.apply` calls it and wraps the result as a
 presentation on seeded random inputs, drawn straight into flat maps: each
 relation side is a term list folded by the same kernel, so no operator is
 multiplied out.  It is the normative gate for the sign conventions.  Trial
-t of family `name` draws its input from the 32-bit words that
-`Random(f"{seed}:{name}:{t}")` yields, taking the top bits of each word
-through `_below`, exactly the bits and values of the `random` methods they
-replace; tests pin them by digests.  The input is drawn as indices, so it
-depends on the trial key and the case's shape (strands, word count) alone,
-and a `TrialInputs` store draws each once and hands it to every later case
-of that shape: a sweep shares one across its cases.
+t of family `name` draws its input with the methods of
+`Random(f"{seed}:{name}:{t}")`; tests pin the draws by digests.  The input
+is drawn as indices, so it depends on the trial key and the case's shape
+(strands, word count) alone, and a `TrialInputs` store draws each once and
+hands it to every later case of that shape: a sweep shares one across its
+cases.
 
 The second algebra is the smash product of a polynomial ring with the
 symmetric group, S # Q[S_n], with multiplication (f.w)(g.v) = f w(g) . wv;
@@ -35,7 +34,6 @@ All arithmetic is exact (ints and Fractions); nothing here floats.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import sys
 from math import comb
@@ -557,8 +555,9 @@ _COEFFS = (-3, -2, -1, 1, 2, 3)
 # strands than MAX_SUITE_STRANDS (each trial works on tuples of n exponents
 # and the degree check walks n^2 letter pairs) or with more words of
 # content d than MAX_SUITE_WORDS (every word is listed, to draw from).
-# Both keep every bound a trial draws below (at most 40,320) within the 32
-# bits of one generator word.
+# Together they bound the time and memory of one case before it starts;
+# the strand cap also keeps every stored value but a word index at most 64,
+# so that it fits in one byte.
 MAX_SUITE_STRANDS = 64
 MAX_SUITE_WORDS = 40_320
 
@@ -586,7 +585,7 @@ class TrialInputs:
 
     A trial's input depends only on its key f"{seed}:{name}:{t}" and on
     the shape (n, nw) of its case, n strands and nw content words: every
-    draw is `_below` of a bound made of n, nw and earlier draws, and words
+    draw is below a bound made of n, nw and earlier draws, and words
     enter only as indices into the case's word list.  So `inputs` keeps
     the index-level input of each (n, nw, key), one `bytes` per key in one
     dict per shape, and a case of that shape on any quiver reads it back
@@ -603,85 +602,42 @@ class TrialInputs:
 
     def inputs(self, key: str, n: int, nw: int, step):
         """The index-level input of trial `key` on n strands and nw words:
-        step(draw) the first time, for draw returning the 32-bit words of
-        `Random(key).getrandbits(32)` in order, stored as `bytes` (a tuple
-        past 256 words, whose indices need more than one byte; every other
-        value is below the strand cap, 64), and that stored copy on every
-        later call.  step must read only n, nw and its draws."""
+        step(Random(key)) the first time, stored as `bytes` (a tuple past
+        256 words, whose indices need more than one byte; every other value
+        is at most the strand cap, 64), and that stored copy on every later
+        call.  step must read only n, nw and its draws."""
         shape = self._inputs.get((n, nw))
         if shape is None:
             shape = self._inputs.setdefault((n, nw), {})
         entry = shape.get(key)
         if entry is None:
             key = sys.intern(key)  # one key string for every shape
-            ints = step(functools.partial(Random(key).getrandbits, 32))
+            ints = step(Random(key))
             entry = shape.setdefault(key, bytes(ints) if nw <= 256 else tuple(ints))
         return entry
 
 
-def _below(draw, m: int) -> int:
-    """A uniform int in [0, m) from a draw function returning 32-bit
-    words, drawing exactly what `Random._randbelow` draws: each candidate
-    is the top m.bit_length() bits of one word, which are the bits
-    `getrandbits(m.bit_length())` returns, drawn again while it is at
-    least m.  So randrange(a, a + m) is a + _below(draw, m), randint(a, b)
-    is a + _below(draw, b - a + 1) and choice(s) is s[_below(draw,
-    len(s))], each reading as many words as they read.  One word cannot
-    serve an m of more than 32 bits, so that is a ValueError, as is m <= 0."""
-    if not 0 < m < 1 << 32:
-        raise ValueError(
-            f"no int in [0, {m})" if m <= 0
-            else f"a bound of {m.bit_length()} bits is wider than one 32-bit word"
-        )
-    shift = 32 - m.bit_length()
-    r = draw() >> shift
-    while r >= m:
-        r = draw() >> shift
-    return r
-
-
-def _sample(draw, m: int, k: int) -> list:
-    """`Random.sample(range(m), k)` for k <= 5 (so its small-set size is
-    21), drawn through `_below`: up to 21 items it draws from a shrinking
-    copy of the pool, past that it redraws an index already chosen."""
-    if m <= 21:
-        pool = list(range(m))
-        out = []
-        for i in range(k):
-            j = _below(draw, m - i)
-            out.append(pool[j])
-            pool[j] = pool[m - i - 1]
-        return out
-    chosen: list[int] = []
-    for _ in range(k):
-        j = _below(draw, m)
-        while j in chosen:
-            j = _below(draw, m)
-        chosen.append(j)
-    return chosen
-
-
-def _rand_terms(draw, n: int, nw: int) -> list:
+def _rand_terms(rng: Random, n: int, nw: int) -> list:
     """A random labeled polynomial on n strands and nw words, by index:
     one or two words, each with one or two monomials of exponents at most
     2 and total degree at most 6, as n + 2 ints per monomial: the word's
     index, the index of its coefficient in `_COEFFS`, and the exponents.
-    The draws are those of sample, randint, randrange and choice, read
-    from 32-bit words with `_below`; an exponent is `_below(draw, 3)`
-    inlined, the top two bits of a word, drawn again while they are 3.
+    An exponent is `rng.randrange(3)` inlined, which is `getrandbits(2)`
+    drawn again while it is 3, at a fraction of the call's cost.
     `_flat_of` reads the polynomial back."""
+    bits = rng.getrandbits
     out = []
-    for wi in _sample(draw, nw, min(nw, 1 + _below(draw, 2))):
-        for _ in range(1 + _below(draw, 2)):
+    for wi in rng.sample(range(nw), min(nw, rng.randint(1, 2))):
+        for _ in range(rng.randint(1, 2)):
             exps = []
             for _ in range(n):
-                e = draw() >> 30
+                e = bits(2)
                 while e == 3:
-                    e = draw() >> 30
+                    e = bits(2)
                 exps.append(e)
             while sum(exps) > 6:
-                exps[_below(draw, n)] = 0
-            out += (wi, _below(draw, 6), *exps)
+                exps[rng.randrange(n)] = 0
+            out += (wi, rng.randrange(6), *exps)
     return out
 
 
@@ -709,12 +665,11 @@ def relation_suite(
     operator order; a relation holds on an input when `_apply_terms`
     folds lhs - rhs over its flat map to all-zero coefficients.  No
     operator is multiplied out.  Each family has two steps.  Its draw
-    step reads the words of `Random(f"{seed}:{name}:{t}")` for trial t,
-    each through `_below`, into an index-level input: word indices into
-    the content words, exponents, coefficient indices and positions.  It
-    reads only n = total(d), the word count nw and its draws, so the
-    input depends on the key and (n, nw) alone, never on the quiver or
-    the words.  Its check step maps the indices to this case's words and
+    step draws an index-level input for trial t from
+    `Random(f"{seed}:{name}:{t}")`: word indices into the content words,
+    exponents, coefficient indices and positions.  It reads only n =
+    total(d), the word count nw and its draws, so the input depends on
+    the key and (n, nw) alone, never on the quiver or the words.  Its check step maps the indices to this case's words and
     folds.  The inputs come from `store`, a `TrialInputs` that draws each
     (key, n, nw) once: `cli.relations_cases` shares one across its cases,
     whose keys and shapes repeat, and a call without one makes its own,
@@ -762,12 +717,12 @@ def relation_suite(
 
     def drawn(first: int, second: int):
         """The draw step of a family that draws a random polynomial, then
-        `_below(draw, first)` and `_below(draw, second)`: the two values,
+        `rng.randrange(first)` and `rng.randrange(second)`: the two values,
         then the polynomial's `_rand_terms`."""
-        def step(draw) -> list:
-            terms = _rand_terms(draw, n, nw)
-            a = _below(draw, first)
-            return [a, _below(draw, second)] + terms
+        def step(rng: Random) -> list:
+            terms = _rand_terms(rng, n, nw)
+            a = rng.randrange(first)
+            return [a, rng.randrange(second)] + terms
         return step
 
     families: list[tuple[str, object, object]] = []
@@ -871,11 +826,11 @@ def relation_suite(
 
     if n >= 4:
 
-        def _psidist_draw(draw) -> list:
+        def _psidist_draw(rng: Random) -> list:
             """r - 1, then s - r - 2 for an s in r + 2..n, then the terms."""
-            terms = _rand_terms(draw, n, nw)
-            r = _below(draw, n - 3)
-            return [r, _below(draw, n - r - 3)] + terms
+            terms = _rand_terms(rng, n, nw)
+            r = rng.randrange(n - 3)
+            return [r, rng.randrange(n - r - 3)] + terms
 
         @fam("psi-distant", _psidist_draw)
         def _psidist(inputs) -> str | None:
@@ -886,18 +841,18 @@ def relation_suite(
                 return f"psi{r} psi{s} on {show(f)}"
             return None
 
-    def _homog_draw(draw) -> list:
+    def _homog_draw(rng: Random) -> list:
         """A word, exponents below 3, a coefficient and one generator, as
         [word, coefficient, kind, argument, exponents...]: the generator
         is a choice among e(word), x_k and, on two or more strands, psi_r,
         each drawn first; kind indexes ("e", "x", "psi")."""
-        i = _below(draw, nw)
-        exps = [_below(draw, 3) for _ in range(n)]
-        c = _below(draw, 3)
-        args = [_below(draw, nw), 1 + _below(draw, n)]
+        i = rng.randrange(nw)
+        exps = [rng.randrange(3) for _ in range(n)]
+        c = rng.randrange(3)
+        args = [rng.randrange(nw), 1 + rng.randrange(n)]
         if n >= 2:
-            args.append(1 + _below(draw, n - 1))
-        kind = _below(draw, len(args))
+            args.append(1 + rng.randrange(n - 1))
+        kind = rng.randrange(len(args))
         return [i, c, kind, args[kind]] + exps
 
     @fam("degree-homogeneity", _homog_draw)

@@ -853,6 +853,17 @@ def test_complex_truncate_emits_triangle(capsys, tmp_path):
     assert tri["inclusion"]
 
 
+def test_complex_op_with_a_bad_argument_is_refused_by_name(capsys, tmp_path):
+    doc = {"schema": "complex/1", "handle": "smash:2", "generators": [["e", 0, 0]]}
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(doc))
+    code = main(["complex", "--input", str(path), "--op", "shift:x"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "error: complex op 'shift:x' is not of the form shift:<N>\n"
+
+
 def test_gdim_alg_rejects_words_of_wrong_content(capsys):
     code = main(["gdim", "--quiver", "A2", "--dim", "1,1", "--mode", "alg",
                  "--word-i", "0,0", "--word-j", "0,0", "--trunc", "4"])

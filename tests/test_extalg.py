@@ -23,7 +23,6 @@ from itertools import permutations, product
 import pytest
 
 from quiverchow.extalg import (
-    BlockKey,
     GdimReport,
     Strata,
     _slot_width,
@@ -210,15 +209,6 @@ def test_reversal_symmetry_of_geometric_blocks(spec, blocks, control):
     assert _reversal_failures(spec, True, True) == (0, blocks)
     assert _reversal_failures(spec, True, False) == (control, blocks)
     assert _reversal_failures(spec, False, True) == (control, blocks)
-
-
-def test_block_key_requires_matching_targets():
-    a = parse_composition("1;1", 1)
-    b = parse_composition("2", 1)
-    key = BlockKey("A1", DimVector((2,)), a, b)
-    assert str(key) == "1;1|2"
-    with pytest.raises(ValueError):
-        BlockKey("A1", DimVector((2,)), a, parse_composition("1;1;1", 1))
 
 
 def test_shared_strata_refuse_a_composition_not_refining_d():

@@ -74,10 +74,17 @@ def test_parse_handle_accepts_corpus_and_rejects_garbage():
         h = parse_handle(spec)
         assert h.name == spec
         assert h.idempotents
-    for bad in ("nilhecke:0", "klr:A2", "smash:x", "unknown:1",
-                "klr:A2:1,1,1", "klr:A2:0,0,3"):
+    for bad in ("nilhecke:0", "klr:A2:1,1,1", "klr:A2:0,0,3"):
         with pytest.raises(ValueError):
             parse_handle(bad)
+    # a spec that does not parse is refused by name, with its form
+    for bad, form in (("klr:A2", "klr:<quiver>:<dims>"), ("klr:A2:x", "klr:<quiver>:<dims>"),
+                      ("smash:x", "smash:<n>"), ("nilhecke:x", "nilhecke:<n>"),
+                      ("nilhecke:", "nilhecke:<n>")):
+        with pytest.raises(ValueError, match=f"^handle spec '{bad}' is not of the form {form}$"):
+            parse_handle(bad)
+    with pytest.raises(ValueError, match="^unknown handle spec 'unknown:1': the forms are "):
+        parse_handle("unknown:1")
 
 
 def test_parse_handle_refuses_a_handle_past_the_input_bound(monkeypatch):

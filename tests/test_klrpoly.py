@@ -16,7 +16,6 @@ partition counts with parts of size at most $n$.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import random
 import re
@@ -310,8 +309,7 @@ def test_flat_draws_are_the_pinned_inputs():
             for name in families:
                 for t in range(8):
                     rng = random.Random(f"{seed}:{name}:{t}")
-                    terms = klrpoly._rand_terms(functools.partial(rng.getrandbits, 32),
-                                                sum(d), len(words))
+                    terms = klrpoly._rand_terms(rng, sum(d), len(words))
                     flat = klrpoly._flat_of(terms, 0, sum(d), words)
                     h.update(repr((sorted(flat.items()), rng.getstate())).encode())
     assert h.hexdigest() == _DRAW_DIGEST
@@ -354,35 +352,6 @@ def test_every_trial_ends_in_the_pinned_generator_state(monkeypatch):
     assert h_in.hexdigest() == _TRIAL_INPUT_DIGEST
 
 
-def test_raw_bit_draws_equal_the_random_module():
-    # _below and _sample give the values of randrange, randint, choice and
-    # sample (k <= 2, pools on both sides of sample's small-set size 21)
-    # and leave the generator in the same state
-    below, sample = klrpoly._below, klrpoly._sample
-    pools = [tuple(range(m)) for m in (1, 2, 3, 5, 12, 20, 21, 22, 23, 90)]
-    for seed in range(300):
-        a, b = random.Random(seed), random.Random(seed)
-        draw = functools.partial(b.getrandbits, 32)
-        for m in (1, 2, 3, 4, 5, 6, 7, 8, 12, 63, 64, 65, 1000, 2**31, 2**32 - 1):
-            assert a.randrange(m) == below(draw, m)
-            assert a.randint(1, m) == 1 + below(draw, m)
-            assert a.randrange(5, 5 + m) == 5 + below(draw, m)
-        for pool in pools:
-            assert a.choice(pool) == pool[below(draw, len(pool))]
-            for k in range(min(len(pool), 2) + 1):
-                assert a.sample(pool, k) == sample(draw, len(pool), k)
-        assert a.getstate() == b.getstate()
-
-
-@pytest.mark.parametrize("m", [0, -3, 2**32, 2**40])
-def test_a_bound_one_word_cannot_serve_is_refused(m):
-    rng = random.Random(0)
-    with pytest.raises(ValueError):
-        klrpoly._below(functools.partial(rng.getrandbits, 32), m)
-    # refused before any word is read
-    assert rng.getstate() == random.Random(0).getstate()
-
-
 def test_threads_sharing_a_store_draw_one_input_per_shape():
     # more threads than cores, switching often, ask for the inputs of
     # shared keys on shared shapes; each gets what a draw straight from
@@ -391,12 +360,12 @@ def test_threads_sharing_a_store_draw_one_input_per_shape():
     shapes = ((1, 1), (3, 6), (4, 12), (4, 300))
 
     def step_for(n, nw):
-        def step(draw):
-            return [klrpoly._below(draw, n)] + klrpoly._rand_terms(draw, n, nw)
+        def step(rng):
+            return [rng.randrange(n)] + klrpoly._rand_terms(rng, n, nw)
         return step
 
     want = {
-        (key, n, nw): step_for(n, nw)(functools.partial(random.Random(key).getrandbits, 32))
+        (key, n, nw): step_for(n, nw)(random.Random(key))
         for key in keys for n, nw in shapes
     }
     store = klrpoly.TrialInputs()

@@ -1,10 +1,10 @@
 """Value semantics of the immutable value types.
 
 `Quiver`, `Composition`, `Segment`, `Multisegment`, `CellSet`,
-`HalfLaurentSeries`, `KLROperator` and `BlockKey` are plain classes with
-slots.  Equal instances hash alike, an instance equals only instances of
-its own class (never the tuple of its fields), fields cannot be assigned
-or deleted, and each constructor keeps its validation and normalisation.
+`HalfLaurentSeries` and `KLROperator` are plain classes with slots.  Equal
+instances hash alike, an instance equals only instances of its own class
+(never the tuple of its fields), fields cannot be assigned or deleted, and
+each constructor keeps its validation and normalisation.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from fractions import Fraction
 
 import pytest
 
-from quiverchow.extalg import BlockKey
 from quiverchow.klrpoly import KLROperator
 from quiverchow.nilrep import Multisegment, Segment
 from quiverchow.paving import CellSet
@@ -29,7 +28,6 @@ def _pairs():
     """(make, fields): `make()` builds a fresh instance each call, and
     `fields` is the tuple of its field values in constructor order."""
     comp = parse_composition("1,0;0,1", 2)
-    comp2 = parse_composition("1,1", 2)
     segs = (Segment(1, 2), Segment(0, 1))
     return [
         (lambda: Quiver("linear", 2), ("linear", 2)),
@@ -40,8 +38,6 @@ def _pairs():
         (lambda: HalfLaurentSeries(((2, 1), (0, Fraction(4, 2))), 5), (((0, 2), (2, 1)), 5)),
         (lambda: KLROperator.x(A2, 2, 1) + KLROperator.one(A2, 2),
          (A2, 2, ((1, ()), (1, (("x", 1),))))),
-        (lambda: BlockKey(A2, DimVector((1, 1)), comp, comp2),
-         (A2, DimVector((1, 1)), comp, comp2)),
     ]
 
 
@@ -106,9 +102,6 @@ def test_constructors_refuse_bad_input():
         Composition((DimVector((1, 0)), DimVector((0, 0))))
     with pytest.raises(ValueError, match="different vertex sets"):
         Composition((DimVector((1, 0)), DimVector((1,))))
-    a, b = parse_composition("1;1", 1), parse_composition("1;1;1", 1)
-    with pytest.raises(ValueError, match="refine different vectors"):
-        BlockKey(Quiver("linear", 1), DimVector((2,)), a, b)
 
 
 def test_constructors_normalise():
